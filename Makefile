@@ -7,19 +7,25 @@ SWEEP_FLAGS ?= -sizes 2..8 -batch 3
 # baseline uses the default.
 BULK_COUNT ?= 20000
 
-.PHONY: check vet build test race chaos chaos-tcp chaos-tcp-short bench-exp \
+.PHONY: check vet no-gob build test race chaos chaos-tcp chaos-tcp-short bench-exp \
 	bench-obs bench-rekey bench-report bench-diff bench-wire bench-wire-diff \
 	bench-bulk bench-bulk-diff obs-smoke mon-smoke crit-smoke
 
-## check: the full local gate — vet, build, tests, the race suite on the
-## packages with concurrency-sensitive fast paths, a short chaos schedule
+## check: the full local gate — vet, the one-wire-format guard (no-gob),
+## build, tests, the race suite on the packages with
+## concurrency-sensitive fast paths, a short chaos schedule
 ## replayed over real TCP sockets, the causal-order gate, and the
 ## regression gates against the checked-in baselines (rekey latency, the
 ## data-plane wire sweep, and bulk throughput).
-check: vet build test race chaos-tcp-short crit-smoke bench-diff bench-wire-diff bench-bulk-diff
+check: vet no-gob build test race chaos-tcp-short crit-smoke bench-diff bench-wire-diff bench-bulk-diff
 
 vet:
 	$(GO) vet ./...
+
+## no-gob: the wire formats have one generation (internal/wirecodec);
+## encoding/gob may appear only on the remote-client stream and in tests.
+no-gob:
+	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v -e '_test\.go$$' -e '^\./benchmark/' -e '^\./internal/spread/remote\.go$$'
 
 build:
 	$(GO) build ./...
@@ -51,7 +57,7 @@ chaos-tcp-short:
 	$(GO) test -timeout 120s -count=1 ./internal/chaos -run TestChaosTCPShort
 
 ## bench-exp: regenerate BENCH_exp.json (fixed-base speedup, batch-pool
-## scaling, Seal/Open pooling cost).
+## scaling, Seal/Open cost).
 bench-exp:
 	$(GO) test -run TestWriteBenchExpJSON -v .
 
@@ -79,8 +85,8 @@ bench-diff:
 	st=$$?; rm -f $$tmp; exit $$st
 
 ## bench-wire: regenerate the checked-in BENCH_wire.json baseline (wire
-## codec microbench per kind, codec vs the legacy gob path, plus the
-## message-latency-vs-size sweep over the live secure stack).
+## codec microbench per kind — frame bytes, encode and decode time — plus
+## the message-latency-vs-size sweep over the live secure stack).
 bench-wire:
 	$(GO) run ./cmd/sgcbench -wire -wire-out BENCH_wire.json
 

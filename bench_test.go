@@ -20,6 +20,7 @@ import (
 	_ "repro/internal/cliques"
 	"repro/internal/crypt"
 	"repro/internal/dh"
+	"repro/securespread"
 )
 
 var protocols = []string{"cliques", "ckd"}
@@ -193,7 +194,7 @@ func BenchmarkAblationCipherThroughput(b *testing.B) {
 				if count < 50 {
 					count = 50
 				}
-				tp, err := bench.MeasureThroughput(suite, size, count)
+				tp, err := bench.MeasureBulk(securespread.ProtoCliques, suite, 2, size, count)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -254,44 +255,35 @@ func BenchmarkExpBatchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSealOpenPooled measures one Seal+Open round trip per cipher
-// suite with the HMAC-state pooling fast path on and off. Allocation
-// counts are the interesting metric (b.ReportAllocs).
-func BenchmarkSealOpenPooled(b *testing.B) {
+// BenchmarkSealOpen measures one Seal+Open round trip per cipher suite.
+// Allocation counts are the interesting metric (b.ReportAllocs).
+func BenchmarkSealOpen(b *testing.B) {
 	secret := []byte("benchmark-group-secret-material!")
 	for _, suite := range []string{"aes-cbc", "aes-ctr"} {
-		for _, pooled := range []bool{true, false} {
-			s, err := crypt.NewSuite(suite, secret, []byte("bench"))
-			if err != nil {
-				b.Fatal(err)
-			}
-			msg := make([]byte, 1024)
-			name := fmt.Sprintf("%s/pooled", suite)
-			if !pooled {
-				name = fmt.Sprintf("%s/unpooled", suite)
-			}
-			b.Run(name, func(b *testing.B) {
-				prev := crypt.SetPooling(pooled)
-				defer crypt.SetPooling(prev)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					frame, err := s.Seal(msg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := s.Open(frame); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		s, err := crypt.NewSuite(suite, secret, []byte("bench"))
+		if err != nil {
+			b.Fatal(err)
 		}
+		msg := make([]byte, 1024)
+		b.Run(suite, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frame, err := s.Seal(msg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Open(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // TestWriteBenchExpJSON records the exponentiation fast-path performance —
-// fixed-base speedup, batch-pool scaling, and Seal/Open cost with pooling
-// on and off — to BENCH_exp.json so the perf trajectory is tracked in-repo.
+// fixed-base speedup, batch-pool scaling, and Seal/Open cost — to
+// BENCH_exp.json so the perf trajectory is tracked in-repo.
 func TestWriteBenchExpJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping perf recording in -short mode")
@@ -314,54 +306,49 @@ func TestWriteBenchExpJSON(t *testing.T) {
 
 	secret := []byte("benchmark-group-secret-material!")
 	for _, suite := range []string{"aes-cbc", "aes-ctr"} {
-		for _, pooled := range []bool{true, false} {
-			s, err := crypt.NewSuite(suite, secret, []byte("bench"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			msg := make([]byte, 1024)
-			prev := crypt.SetPooling(pooled)
-			sealAllocs := testing.AllocsPerRun(200, func() {
-				if _, err := s.Seal(msg); err != nil {
-					t.Fatal(err)
-				}
-			})
-			frame, err := s.Seal(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			openAllocs := testing.AllocsPerRun(200, func() {
-				if _, err := s.Open(frame); err != nil {
-					t.Fatal(err)
-				}
-			})
-			const iters = 2000
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				if _, err := s.Seal(msg); err != nil {
-					t.Fatal(err)
-				}
-			}
-			sealNs := time.Since(start).Nanoseconds() / iters
-			start = time.Now()
-			for i := 0; i < iters; i++ {
-				if _, err := s.Open(frame); err != nil {
-					t.Fatal(err)
-				}
-			}
-			openNs := time.Since(start).Nanoseconds() / iters
-			crypt.SetPooling(prev)
-
-			rep.SealOpen = append(rep.SealOpen, bench.SealOpenPoint{
-				Suite:      suite,
-				Size:       len(msg),
-				Pooled:     pooled,
-				SealNs:     sealNs,
-				OpenNs:     openNs,
-				SealAllocs: sealAllocs,
-				OpenAllocs: openAllocs,
-			})
+		s, err := crypt.NewSuite(suite, secret, []byte("bench"))
+		if err != nil {
+			t.Fatal(err)
 		}
+		msg := make([]byte, 1024)
+		sealAllocs := testing.AllocsPerRun(200, func() {
+			if _, err := s.Seal(msg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		frame, err := s.Seal(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		openAllocs := testing.AllocsPerRun(200, func() {
+			if _, err := s.Open(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		const iters = 2000
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			if _, err := s.Seal(msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sealNs := time.Since(start).Nanoseconds() / iters
+		start = time.Now()
+		for i := 0; i < iters; i++ {
+			if _, err := s.Open(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		openNs := time.Since(start).Nanoseconds() / iters
+
+		rep.SealOpen = append(rep.SealOpen, bench.SealOpenPoint{
+			Suite:      suite,
+			Size:       len(msg),
+			SealNs:     sealNs,
+			OpenNs:     openNs,
+			SealAllocs: sealAllocs,
+			OpenAllocs: openAllocs,
+		})
 	}
 
 	if err := bench.WriteJSON("BENCH_exp.json", rep); err != nil {

@@ -25,9 +25,9 @@
 // of the `sgctrace diff` regression gate (`make bench-diff`).
 //
 // The wire mode measures the data plane: per-kind encoded frame sizes and
-// encode/decode times for the binary wire codec against the legacy gob
-// path, plus a secured message-latency-vs-size sweep (1B..100KB) over a
-// live two-member cluster, reproducing the shape of the paper's Figure 5.
+// encode/decode times for the binary wire codec, plus a secured
+// message-latency-vs-size sweep (1B..100KB) over a live two-member
+// cluster, reproducing the shape of the paper's Figure 5.
 // It writes BENCH_wire.json — the input of the `sgctrace diff` data-plane
 // gate (`make bench-wire-diff`).
 //
@@ -240,23 +240,17 @@ func sweepExperiment(sizesSpec string, batch int, proto, rekeyOut string) error 
 }
 
 // wireExperiment runs the data-plane sweep behind BENCH_wire.json: the
-// per-kind wire-codec microbenchmark (binary codec vs legacy gob) and the
-// end-to-end message-latency-vs-size sweep over a live 2-member secure
-// group, mirroring the paper's message-latency figure.
+// per-kind wire-codec microbenchmark and the end-to-end
+// message-latency-vs-size sweep over a live 2-member secure group,
+// mirroring the paper's message-latency figure.
 func wireExperiment(wireOut string, count int) error {
-	fmt.Println("== wire codec microbench (per kind, codec vs gob) ==")
-	stats := spread.MeasureWireCodec(2000)
+	fmt.Println("== wire codec microbench (per kind) ==")
 	out := analyze.WireBench{}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kind\tbytes codec\tbytes gob\tenc codec\tenc gob\tdec codec\tdec gob")
-	for _, s := range stats {
-		out.Codec = append(out.Codec, analyze.WireCodecPoint{
-			Kind: s.Kind, CodecBytes: s.CodecBytes, GobBytes: s.GobBytes,
-			CodecEncNs: s.CodecEncNs, GobEncNs: s.GobEncNs,
-			CodecDecNs: s.CodecDecNs, GobDecNs: s.GobDecNs,
-		})
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%.0fns\t%.0fns\t%.0fns\t%.0fns\n",
-			s.Kind, s.CodecBytes, s.GobBytes, s.CodecEncNs, s.GobEncNs, s.CodecDecNs, s.GobDecNs)
+	fmt.Fprintln(tw, "kind\tbytes\tencode\tdecode")
+	for _, s := range spread.MeasureWireCodec(2000) {
+		out.Codec = append(out.Codec, analyze.WireCodecPoint(s))
+		fmt.Fprintf(tw, "%s\t%d\t%.0fns\t%.0fns\n", s.Kind, s.CodecBytes, s.CodecEncNs, s.CodecDecNs)
 	}
 	tw.Flush()
 

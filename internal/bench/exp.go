@@ -43,13 +43,12 @@ type BatchPoint struct {
 	Scaling float64
 }
 
-// SealOpenPoint records one cipher suite's seal+open cost with the
-// HMAC-pooling fast path on or off. Allocations are measured by the
-// benchmark layer (testing.AllocsPerRun) and filled in by the caller.
+// SealOpenPoint records one cipher suite's seal+open cost. Allocations are
+// measured by the benchmark layer (testing.AllocsPerRun) and filled in by
+// the caller.
 type SealOpenPoint struct {
 	Suite      string
 	Size       int
-	Pooled     bool
 	SealNs     int64
 	OpenNs     int64
 	SealAllocs float64

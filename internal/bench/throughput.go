@@ -40,13 +40,6 @@ func waitSecured(s *securespread.Session, n int, timeout time.Duration) error {
 	return fmt.Errorf("bench: %s: no %d-member secure view", s.Name(), n)
 }
 
-// MeasureThroughput multicasts count messages of msgSize bytes from one
-// member of a two-member group and reports the rate (compatibility wrapper
-// over MeasureBulk).
-func MeasureThroughput(suite string, msgSize, count int) (Throughput, error) {
-	return MeasureBulk(securespread.ProtoCliques, suite, 2, msgSize, count)
-}
-
 // MeasureBulk multicasts count messages of msgSize bytes from one member
 // of a secured members-sized group (one session per daemon) and reports
 // the sustained rate. Every member's event stream — including the

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"testing"
+
+	"repro/securespread"
 )
 
 func TestThroughputSmoke(t *testing.T) {
-	tp, err := MeasureThroughput("blowfish-cbc", 256, 50)
+	tp, err := MeasureBulk(securespread.ProtoCliques, "blowfish-cbc", 2, 256, 50)
 	if err != nil {
 		t.Fatal(err)
 	}

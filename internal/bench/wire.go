@@ -23,7 +23,7 @@ type WireLatency struct {
 
 // MeasureWireLatencySweep boots one 2-member secure group and measures
 // per-message delivery latency at each payload size: messages go out one
-// at a time (latency, not throughput — MeasureThroughput covers rates).
+// at a time (latency, not throughput — MeasureBulk covers rates).
 func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]WireLatency, error) {
 	cluster, err := securespread.NewLocalClusterConfig(2, benchConfig())
 	if err != nil {

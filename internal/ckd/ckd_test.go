@@ -264,7 +264,7 @@ func TestLeaverCannotDecryptNewKey(t *testing.T) {
 	net.Drop = func(m kga.Message) bool {
 		if m.Type == MsgKeyDist {
 			var b keyDistBody
-			if err := decodeBody(m.Body, &b); err != nil {
+			if _, err := decodeBody(m.Body, &b); err != nil {
 				t.Fatal(err)
 			}
 			dist = &b
@@ -306,11 +306,11 @@ func TestTamperedHelloRejected(t *testing.T) {
 		if m.Type == MsgCtrlHello && !tampered {
 			tampered = true
 			var b helloBody
-			if err := decodeBody(m.Body, &b); err != nil {
+			if _, err := decodeBody(m.Body, &b); err != nil {
 				t.Fatal(err)
 			}
 			b.GR1 = testGroup.PowG(testGroup.MustShare(), nil, "")
-			enc, err := encodeBody(&b)
+			enc, err := encodeBody(&b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -334,11 +334,11 @@ func TestTamperedKeyDistRejected(t *testing.T) {
 		if m.Type == MsgKeyDist && !tampered {
 			tampered = true
 			var b keyDistBody
-			if err := decodeBody(m.Body, &b); err != nil {
+			if _, err := decodeBody(m.Body, &b); err != nil {
 				t.Fatal(err)
 			}
 			b.Entries[ms[1]] = testGroup.PowG(testGroup.MustShare(), nil, "")
-			enc, err := encodeBody(&b)
+			enc, err := encodeBody(&b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,11 +1,15 @@
 package ckd
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/wirecodec"
 )
 
@@ -35,9 +39,12 @@ func randCkdMAC(r *rand.Rand) []byte {
 	return b
 }
 
-// TestBodyCodecGobDifferential round-trips every ckd protocol body through
-// the binary codec and the legacy gob path and requires agreement.
-func TestBodyCodecGobDifferential(t *testing.T) {
+// testExt is the causal extension the round-trip test stamps.
+var testExt = &wirecodec.Ext{From: obs.EventRef{Node: "a#d0", Seq: 42}, HLC: obs.HLC{Wall: 1700000000000000, Logical: 3}}
+
+// TestBodyCodecRoundTrip: decode(encode(x)) is x on every ckd protocol
+// body, with and without a causal extension.
+func TestBodyCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for i := 0; i < 300; i++ {
 		entries := make(map[string]*big.Int)
@@ -63,31 +70,52 @@ func TestBodyCodecGobDifferential(t *testing.T) {
 			},
 		}
 		for _, body := range bodies {
-			cenc, err := encodeBody(body)
-			if err != nil {
-				t.Fatalf("codec encode %T: %v", body, err)
+			for _, ext := range []*wirecodec.Ext{nil, testExt} {
+				enc, err := encodeBody(body, ext)
+				if err != nil {
+					t.Fatalf("encode %T: %v", body, err)
+				}
+				got := reflect.New(reflect.TypeOf(body).Elem()).Interface()
+				gotExt, err := decodeBody(enc, got)
+				if err != nil {
+					t.Fatalf("decode %T: %v", body, err)
+				}
+				if !reflect.DeepEqual(got, body) {
+					t.Fatalf("%T round trip diverged:\nin:  %#v\nout: %#v", body, body, got)
+				}
+				if !reflect.DeepEqual(gotExt, ext) {
+					t.Fatalf("%T extension diverged: got %#v want %#v", body, gotExt, ext)
+				}
 			}
-			if !wirecodec.IsCodec(cenc) {
-				t.Fatalf("%T encoding missing codec preamble", body)
-			}
-			genc, err := encodeBodyGob(body)
-			if err != nil {
-				t.Fatalf("gob encode %T: %v", body, err)
-			}
-			cgot := reflect.New(reflect.TypeOf(body).Elem()).Interface()
-			if err := decodeBody(cenc, cgot); err != nil {
-				t.Fatalf("codec decode %T: %v", body, err)
-			}
-			ggot := reflect.New(reflect.TypeOf(body).Elem()).Interface()
-			if err := decodeBody(genc, ggot); err != nil {
-				t.Fatalf("gob fallback decode %T: %v", body, err)
-			}
-			if !reflect.DeepEqual(cgot, body) {
-				t.Fatalf("%T codec round trip diverged:\nin:  %#v\nout: %#v", body, body, cgot)
-			}
-			if !reflect.DeepEqual(cgot, ggot) {
-				t.Fatalf("%T codec and gob decode disagree:\ncodec: %#v\ngob:   %#v", body, cgot, ggot)
-			}
+		}
+	}
+}
+
+// TestDecodeBodyRejects: retired formats and malformed preambles are
+// errors the caller can classify, never panics or half-decoded values.
+func TestDecodeBodyRejects(t *testing.T) {
+	body := &respBody{Blinded: big.NewInt(5), TargetEpoch: 3, MAC: []byte{1, 2}}
+	var gobFrame bytes.Buffer
+	if err := gob.NewEncoder(&gobFrame).Encode(body); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := encodeBody(body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"gob", gobFrame.Bytes(), wirecodec.ErrNotCodec},
+		{"version 1", append([]byte{wirecodec.Magic, 0x01}, enc[3:]...), wirecodec.ErrBadVersion},
+		{"unknown version", append([]byte{wirecodec.Magic, 0x7f}, enc[2:]...), wirecodec.ErrBadVersion},
+		{"ext-len overruns frame", append([]byte{wirecodec.Magic, wirecodec.Version, 40}, enc[3:]...), wirecodec.ErrTruncated},
+		{"empty", nil, wirecodec.ErrNotCodec},
+	} {
+		if _, err := decodeBody(tc.in, &respBody{}); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }

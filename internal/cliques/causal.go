@@ -45,13 +45,13 @@ func (m *Member) encBody(t int, v any) ([]byte, error) {
 		from, h := m.causal.StampSend("kind=" + msgTypeName(t))
 		ext = &wirecodec.Ext{From: from, HLC: h}
 	}
-	return encodeBodyExt(v, ext)
+	return encodeBody(v, ext)
 }
 
 // decBody decodes a received protocol body and, when the frame carries an
 // extension, merges the sender's clock and records the causal edge.
 func (m *Member) decBody(msg kga.Message, v any) error {
-	ext, err := decodeBodyExt(msg.Body, v)
+	ext, err := decodeBody(msg.Body, v)
 	if err != nil {
 		return err
 	}

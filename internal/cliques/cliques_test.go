@@ -325,7 +325,7 @@ func TestJoinerCannotComputeOldKey(t *testing.T) {
 	net.Drop = func(m kga.Message) bool {
 		if m.Type == MsgJoinSeed {
 			var b joinSeedBody
-			if err := decodeBody(m.Body, &b); err != nil {
+			if _, err := decodeBody(m.Body, &b); err != nil {
 				t.Fatal(err)
 			}
 			seed = &b
@@ -354,11 +354,11 @@ func TestTamperedSeedRejected(t *testing.T) {
 		if m.Type == MsgJoinSeed && !tampered {
 			tampered = true
 			var b joinSeedBody
-			if err := decodeBody(m.Body, &b); err != nil {
+			if _, err := decodeBody(m.Body, &b); err != nil {
 				t.Fatal(err)
 			}
 			b.PNew = testGroup.PowG(testGroup.MustShare(), nil, "")
-			enc, err := encodeBody(&b)
+			enc, err := encodeBody(&b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -385,11 +385,11 @@ func TestTamperedLeaveBcastRejected(t *testing.T) {
 		if m.Type == MsgLeaveBcast && !tampered {
 			tampered = true
 			var b leaveBcastBody
-			if err := decodeBody(m.Body, &b); err != nil {
+			if _, err := decodeBody(m.Body, &b); err != nil {
 				t.Fatal(err)
 			}
 			b.Entries[ms[0]] = testGroup.PowG(testGroup.MustShare(), nil, "")
-			enc, err := encodeBody(&b)
+			enc, err := encodeBody(&b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

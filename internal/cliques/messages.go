@@ -3,7 +3,6 @@ package cliques
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math/big"
 	"sort"
@@ -101,18 +100,11 @@ type mergeBcastBody struct {
 	TargetEpoch uint64
 }
 
-// encodeBody writes a protocol body with the binary wire codec; decodeBody
-// keeps a gob fallback for frames from older builds. The body type is
-// implied by kga.Message.Type, so no tag travels. MACs are computed over
-// canon(), never over encodings, so the codec swap cannot break
-// authentication.
-func encodeBody(v any) ([]byte, error) {
-	return encodeBodyExt(v, nil)
-}
-
-// encodeBodyExt is encodeBody with a causal-tracing extension in the
-// versioned preamble (nil ext yields a byte-identical V1 frame).
-func encodeBodyExt(v any, ext *wirecodec.Ext) ([]byte, error) {
+// encodeBody writes a protocol body with the binary wire codec; ext is
+// the sender's causal-tracing stamp, nil when it has none. The body type
+// is implied by kga.Message.Type, so no tag travels. MACs are computed
+// over canon(), never over encodings.
+func encodeBody(v any, ext *wirecodec.Ext) ([]byte, error) {
 	b := wirecodec.AppendPreambleExt(nil, ext)
 	switch body := v.(type) {
 	case *joinSeedBody:
@@ -164,22 +156,14 @@ func encodeBodyExt(v any, ext *wirecodec.Ext) ([]byte, error) {
 		b = wirecodec.AppendBigInt(b, body.SenderPub)
 		b = wirecodec.AppendUvarint(b, body.TargetEpoch)
 	default:
-		return encodeBodyGob(v)
+		return nil, fmt.Errorf("encode cliques body: unsupported type %T", v)
 	}
 	return b, nil
 }
 
-func decodeBody(data []byte, v any) error {
-	_, err := decodeBodyExt(data, v)
-	return err
-}
-
-// decodeBodyExt is decodeBody plus the frame's causal-tracing extension
-// (nil on V1 and gob frames).
-func decodeBodyExt(data []byte, v any) (*wirecodec.Ext, error) {
-	if !wirecodec.IsCodec(data) {
-		return nil, decodeBodyGob(data, v)
-	}
+// decodeBody reads a protocol body into v and returns the frame's
+// causal-tracing extension (nil when the sender had no stamp).
+func decodeBody(data []byte, v any) (*wirecodec.Ext, error) {
 	d := wirecodec.NewDec(data)
 	switch body := v.(type) {
 	case *joinSeedBody:
@@ -237,21 +221,6 @@ func decodeBodyExt(data []byte, v any) (*wirecodec.Ext, error) {
 		return nil, fmt.Errorf("decode cliques body: %w", err)
 	}
 	return d.Ext(), nil
-}
-
-func encodeBodyGob(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, fmt.Errorf("encode cliques body: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeBodyGob(data []byte, v any) error {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		return fmt.Errorf("decode cliques body: %w", err)
-	}
-	return nil
 }
 
 // canon builds a deterministic byte string from heterogeneous fields for

@@ -7,7 +7,7 @@ import (
 
 // Causal tracing of secure-layer envelopes. Every envelope carries the
 // sender's HLC stamp and the reference of a recorded "wire-send" event
-// (wirecodec V2 extension); the receiver merges the clock and records
+// (the wirecodec extension block); the receiver merges the clock and records
 // "wire-recv" with the causal parent edge. Together with the flush
 // layer's flush-ok/deliver edges this closes the cross-node
 // happens-before chain of a rekey: every member's announce provably

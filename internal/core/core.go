@@ -415,7 +415,7 @@ func (c *Conn) Multicast(group string, data []byte) error {
 			Group: group, KeyEpoch: st.epoch,
 			Detail: fmt.Sprintf("bytes=%d", len(data))})
 	}
-	enc, err := encodeEnvelopeExt(&envelope{Kind: envData, Epoch: st.epoch, Frame: frame},
+	enc, err := encodeEnvelope(&envelope{Kind: envData, Epoch: st.epoch, Frame: frame},
 		c.envClockExt())
 	if err != nil {
 		wirecodec.PutBuf(frame)
@@ -463,7 +463,7 @@ func (c *Conn) KeyRefresh(group string) error {
 	if !fwd {
 		return nil
 	}
-	enc, err := encodeEnvelopeExt(&envelope{Kind: envRefreshRequest},
+	enc, err := encodeEnvelope(&envelope{Kind: envRefreshRequest},
 		c.envSendExt(group, envRefreshRequest))
 	if err != nil {
 		return err
@@ -586,7 +586,7 @@ func (c *Conn) dispatch(ev flush.Event) {
 			c.emit(SelfLeave{Group: e.Group})
 		}
 	case flush.Data:
-		env, ext, err := decodeEnvelopeExt(e.Data)
+		env, ext, err := decodeEnvelope(e.Data)
 		if err != nil {
 			c.warn(e.Group, err)
 			return

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"math/big"
 
@@ -89,16 +87,9 @@ func envKindDetail(k int) string {
 	}
 }
 
-// encodeEnvelope uses the binary wire codec; decodeEnvelope falls back to
-// gob for frames produced by older builds (version dispatch on the first
-// byte, see internal/wirecodec).
-func encodeEnvelope(e *envelope) ([]byte, error) {
-	return encodeEnvelopeExt(e, nil)
-}
-
-// encodeEnvelopeExt is encodeEnvelope with a causal-tracing extension in
-// the versioned preamble; the body is byte-identical to a V1 frame.
-func encodeEnvelopeExt(e *envelope, ext *wirecodec.Ext) ([]byte, error) {
+// encodeEnvelope writes a secure-layer envelope with the binary wire
+// codec; ext is the sender's causal-tracing stamp, nil when it has none.
+func encodeEnvelope(e *envelope, ext *wirecodec.Ext) ([]byte, error) {
 	// Sized up front: the ciphertext frame dominates the envelope, and
 	// letting append grow from nil re-copies it several times per message.
 	b := wirecodec.AppendPreambleExt(make([]byte, 0, len(e.Frame)+96), ext)
@@ -120,18 +111,9 @@ func encodeEnvelopeExt(e *envelope, ext *wirecodec.Ext) ([]byte, error) {
 	return b, nil
 }
 
-func decodeEnvelope(data []byte) (*envelope, error) {
-	e, _, err := decodeEnvelopeExt(data)
-	return e, err
-}
-
-// decodeEnvelopeExt is decodeEnvelope plus the frame's causal-tracing
-// extension (nil on V1 and gob frames).
-func decodeEnvelopeExt(data []byte) (*envelope, *wirecodec.Ext, error) {
-	if !wirecodec.IsCodec(data) {
-		e, err := decodeEnvelopeGob(data)
-		return e, nil, err
-	}
+// decodeEnvelope reads a secure-layer envelope and its causal-tracing
+// extension (nil when the sender had no stamp).
+func decodeEnvelope(data []byte) (*envelope, *wirecodec.Ext, error) {
 	d := wirecodec.NewDec(data)
 	e := &envelope{Kind: int(d.Int())}
 	if d.Bool() {
@@ -151,24 +133,6 @@ func decodeEnvelopeExt(data []byte) (*envelope, *wirecodec.Ext, error) {
 		return nil, nil, fmt.Errorf("decode secure envelope: %w", err)
 	}
 	return e, d.Ext(), nil
-}
-
-func decodeEnvelopeGob(data []byte) (*envelope, error) {
-	var e envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&e); err != nil {
-		return nil, fmt.Errorf("decode secure envelope: %w", err)
-	}
-	return &e, nil
-}
-
-// encodeEnvelopeGob is kept for the differential tests pinning codec/gob
-// semantic equivalence.
-func encodeEnvelopeGob(e *envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(e); err != nil {
-		return nil, fmt.Errorf("encode secure envelope: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // keyDigest is the key-confirmation value exchanged in announcements: it

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/kga"
+	"repro/internal/wirecodec"
 )
 
 // corpusEnvelope returns one representative encoded frame per secure-layer
@@ -34,22 +35,27 @@ func corpusEnvelope(t testing.TB) [][]byte {
 		{Kind: envRefreshStart},
 		{Kind: envRefreshRequest},
 	}
+	// Each envelope seeds two encodings, without and with the causal
+	// extension; the two retired-format frames come last.
 	var out [][]byte
 	for _, e := range envs {
-		enc, err := encodeEnvelope(e)
-		if err != nil {
-			t.Fatalf("encode corpus envelope kind %d: %v", e.Kind, err)
+		for _, ext := range []*wirecodec.Ext{nil, testExt} {
+			enc, err := encodeEnvelope(e, ext)
+			if err != nil {
+				t.Fatalf("encode corpus envelope kind %d: %v", e.Kind, err)
+			}
+			out = append(out, enc)
 		}
-		out = append(out, enc)
 	}
-	return out
+	gobFrame, v1Frame := legacyEnvelope(t)
+	return append(out, gobFrame, v1Frame)
 }
 
 // FuzzEnvelopeDecode feeds arbitrary bytes to the secure layer's envelope
 // decoder — the exact path a hostile group member could reach by
 // multicasting garbage through the flush layer. The decoder must never
-// panic; any envelope it accepts must survive a normalized
-// re-encode/re-decode round trip exactly.
+// panic; any envelope it accepts must survive a re-encode/re-decode round
+// trip exactly.
 func FuzzEnvelopeDecode(f *testing.F) {
 	for _, b := range corpusEnvelope(f) {
 		f.Add(b)
@@ -58,28 +64,20 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		if len(raw) > 1<<16 {
 			return // bound allocation, matching daemon frame expectations
 		}
-		e, err := decodeEnvelope(raw)
+		e, _, err := decodeEnvelope(raw)
 		if err != nil {
 			return // rejected frames are fine; panics are not
 		}
-		enc, err := encodeEnvelope(e)
+		enc, err := encodeEnvelope(e, nil)
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v", err)
 		}
-		e2, err := decodeEnvelope(enc)
+		e2, _, err := decodeEnvelope(enc)
 		if err != nil {
 			t.Fatalf("re-encoded envelope failed to decode: %v", err)
 		}
-		enc2, err := encodeEnvelope(e2)
-		if err != nil {
-			t.Fatalf("normalized envelope failed to re-encode: %v", err)
-		}
-		e3, err := decodeEnvelope(enc2)
-		if err != nil {
-			t.Fatalf("normalized envelope failed to re-decode: %v", err)
-		}
-		if !reflect.DeepEqual(e2, e3) {
-			t.Fatalf("envelope round trip not stable:\nfirst:  %#v\nsecond: %#v", e2, e3)
+		if !reflect.DeepEqual(e, e2) {
+			t.Fatalf("envelope round trip not identity:\nfirst:  %#v\nsecond: %#v", e, e2)
 		}
 	})
 }

@@ -126,7 +126,7 @@ func (g *groupCtx) onView(v spread.ViewEvent) {
 		ann.Digest = keyDigest(k.Bytes(), k.Epoch)
 		ann.Members = g.proto.Members()
 	}
-	enc, err := encodeEnvelopeExt(&envelope{Kind: envAnnounce, Ann: ann},
+	enc, err := encodeEnvelope(&envelope{Kind: envAnnounce, Ann: ann},
 		g.conn.envSendExt(g.name, envAnnounce))
 	if err != nil {
 		g.conn.warn(g.name, err)
@@ -346,7 +346,7 @@ func (g *groupCtx) driveNext() {
 
 func (g *groupCtx) sendAll(msgs []kga.Message) {
 	for _, m := range msgs {
-		enc, err := encodeEnvelopeExt(&envelope{Kind: envKGA, KGA: &m},
+		enc, err := encodeEnvelope(&envelope{Kind: envKGA, KGA: &m},
 			g.conn.envSendExt(g.name, envKGA))
 		if err != nil {
 			g.conn.warn(g.name, err)
@@ -555,7 +555,7 @@ func (g *groupCtx) maybeStartRefresh() {
 	// Announce the refresh so members enter the operation before the
 	// controller's broadcast reaches them (FIFO from the same sender
 	// guarantees the order).
-	enc, err := encodeEnvelopeExt(&envelope{Kind: envRefreshStart},
+	enc, err := encodeEnvelope(&envelope{Kind: envRefreshStart},
 		g.conn.envSendExt(g.name, envRefreshStart))
 	if err != nil {
 		g.conn.warn(g.name, err)

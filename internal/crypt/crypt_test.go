@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 )
@@ -278,6 +279,37 @@ func TestSealOpenProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSealOpenAllocs pins the per-frame allocation counts at 1 KiB. A
+// fresh hmac.New costs five allocations, so the test fails if Seal or Open
+// stops reusing the suite's pooled HMAC states.
+func TestSealOpenAllocs(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops a quarter of its puts under the race detector")
+			}
+		}
+	}
+	limits := map[string]struct{ seal, open float64 }{
+		SuiteBlowfish: {4, 5}, // generic CBC mode allocates its own state
+		SuiteAES:      {2, 3},
+		SuiteAESCTR:   {2, 3},
+		SuiteNull:     {1, 2},
+	}
+	msg := make([]byte, 1024)
+	for name, s := range allSuites(t, []byte("the group secret value"), []byte("grp/epoch1")) {
+		frame, err := s.Seal(msg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		seal := testing.AllocsPerRun(200, func() { _, _ = s.Seal(msg) })
+		open := testing.AllocsPerRun(200, func() { _, _ = s.Open(frame) })
+		if lim := limits[name]; seal > lim.seal || open > lim.open {
+			t.Errorf("%s: Seal %v allocs (limit %v), Open %v allocs (limit %v)", name, seal, lim.seal, open, lim.open)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"crypto/subtle"
 	"hash"
 	"sync"
-	"sync/atomic"
 )
 
 // The steady-state data path seals and opens one frame per multicast, and
@@ -16,17 +15,6 @@ import (
 // frame itself is written in place. Each suite therefore keeps its HMAC
 // states in a sync.Pool: Reset restores the precomputed key pads, so a
 // recycled state costs zero allocations and two fewer block hashes.
-//
-// poolingOff restores the allocate-per-call path; it exists so the
-// BenchmarkSealOpenPooled baseline (and any debugging of pool reuse) can
-// measure the unpooled cost without patching the code.
-var poolingOff atomic.Bool
-
-// SetPooling toggles the Seal/Open HMAC-state pooling fast path (on by
-// default) and returns the previous setting. Intended for benchmarks.
-func SetPooling(on bool) bool {
-	return !poolingOff.Swap(!on)
-}
 
 // macPool is a pool of ready-keyed HMAC-SHA256 states.
 type macPool struct {
@@ -42,19 +30,12 @@ func newMACPool(key []byte) *macPool {
 
 // get returns a reset HMAC state; pair with put.
 func (p *macPool) get() hash.Hash {
-	if poolingOff.Load() {
-		return hmac.New(sha256.New, p.key)
-	}
 	m := p.pool.Get().(hash.Hash)
 	m.Reset()
 	return m
 }
 
-func (p *macPool) put(m hash.Hash) {
-	if !poolingOff.Load() {
-		p.pool.Put(m)
-	}
-}
+func (p *macPool) put(m hash.Hash) { p.pool.Put(m) }
 
 // appendTag appends the HMAC tag over frame to frame (which must have
 // macSize spare capacity to stay allocation-free).

@@ -1,18 +1,24 @@
 package flush
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/spread"
 	"repro/internal/wirecodec"
 )
 
-// TestFlushMsgCodecGobDifferential pins the binary codec as a drop-in
-// semantic replacement for gob on the flush layer's wire message, and that
-// legacy gob frames still decode through the fallback.
-func TestFlushMsgCodecGobDifferential(t *testing.T) {
+// testExt is the causal extension the round-trip tests stamp.
+var testExt = &wirecodec.Ext{From: obs.EventRef{Node: "d1", Seq: 42}, HLC: obs.HLC{Wall: 1700000000000000, Logical: 3}}
+
+// TestFlushMsgCodecRoundTrip: decode(encode(x)) is x on randomized flush
+// frames, with and without a causal extension.
+func TestFlushMsgCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 1000; i++ {
 		m := &flushMsg{
@@ -27,30 +33,50 @@ func TestFlushMsgCodecGobDifferential(t *testing.T) {
 			m.Data = make([]byte, 1+r.Intn(100))
 			r.Read(m.Data)
 		}
-		cenc, err := encodeMsg(m)
-		if err != nil {
-			t.Fatalf("#%d: codec encode: %v", i, err)
+		for _, ext := range []*wirecodec.Ext{nil, testExt} {
+			enc, err := encodeMsg(m, ext)
+			if err != nil {
+				t.Fatalf("#%d: encode: %v", i, err)
+			}
+			got, gotExt, err := decodeMsg(enc)
+			if err != nil {
+				t.Fatalf("#%d: decode: %v", i, err)
+			}
+			if !reflect.DeepEqual(got, m) {
+				t.Fatalf("#%d: round trip diverged:\nin:  %#v\nout: %#v", i, m, got)
+			}
+			if !reflect.DeepEqual(gotExt, ext) {
+				t.Fatalf("#%d: extension diverged: got %#v want %#v", i, gotExt, ext)
+			}
 		}
-		if !wirecodec.IsCodec(cenc) {
-			t.Fatalf("#%d: flush encoding missing codec preamble", i)
-		}
-		genc, err := encodeMsgGob(m)
-		if err != nil {
-			t.Fatalf("#%d: gob encode: %v", i, err)
-		}
-		cm, err := decodeMsg(cenc)
-		if err != nil {
-			t.Fatalf("#%d: codec decode: %v", i, err)
-		}
-		gm, err := decodeMsg(genc)
-		if err != nil {
-			t.Fatalf("#%d: gob fallback decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(cm, m) {
-			t.Fatalf("#%d: codec round trip diverged:\nin:  %#v\nout: %#v", i, m, cm)
-		}
-		if !reflect.DeepEqual(cm, gm) {
-			t.Fatalf("#%d: codec and gob decode disagree:\ncodec: %#v\ngob:   %#v", i, cm, gm)
+	}
+}
+
+// TestDecodeMsgRejects: retired formats and malformed preambles are errors
+// the caller can classify, never panics or half-decoded values.
+func TestDecodeMsgRejects(t *testing.T) {
+	m := &flushMsg{Kind: wireFlushOK, View: spread.GroupViewID{Seq: 9}}
+	var gobFrame bytes.Buffer
+	if err := gob.NewEncoder(&gobFrame).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := encodeMsg(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"gob", gobFrame.Bytes(), wirecodec.ErrNotCodec},
+		{"version 1", append([]byte{wirecodec.Magic, 0x01}, enc[3:]...), wirecodec.ErrBadVersion},
+		{"unknown version", append([]byte{wirecodec.Magic, 0x7f}, enc[2:]...), wirecodec.ErrBadVersion},
+		{"ext-len overruns frame", append([]byte{wirecodec.Magic, wirecodec.Version, 40}, enc[3:]...), wirecodec.ErrTruncated},
+		{"empty", nil, wirecodec.ErrNotCodec},
+	} {
+		if got, _, err := decodeMsg(tc.in); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got (%v, %v), want %v", tc.name, got, err, tc.want)
 		}
 	}
 }
@@ -64,12 +90,12 @@ func TestFlushMsgCodecTruncation(t *testing.T) {
 		Service: spread.Agreed,
 		Data:    []byte("payload"),
 	}
-	enc, err := encodeMsg(m)
+	enc, err := encodeMsg(m, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for cut := 1; cut < len(enc); cut++ {
-		if _, err := decodeMsg(enc[:cut]); err == nil {
+		if _, _, err := decodeMsg(enc[:cut]); err == nil {
 			t.Fatalf("truncated flush frame (%d/%d bytes) decoded without error", cut, len(enc))
 		}
 	}

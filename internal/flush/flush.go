@@ -21,8 +21,6 @@
 package flush
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -94,16 +92,9 @@ type flushMsg struct {
 	Data    []byte
 }
 
-// encodeMsg uses the binary wire codec; decodeMsg keeps a gob fallback for
-// frames from older builds (dispatch on the first byte).
-func encodeMsg(m *flushMsg) ([]byte, error) {
-	return encodeMsgExt(m, nil)
-}
-
-// encodeMsgExt is encodeMsg with a causal-tracing wire extension: the
-// sender's HLC stamp and send-event reference travel in the versioned
-// preamble, so the body stays byte-identical to a V1 frame.
-func encodeMsgExt(m *flushMsg, ext *wirecodec.Ext) ([]byte, error) {
+// encodeMsg writes a flush-layer frame with the binary wire codec; ext is
+// the sender's causal-tracing stamp, nil when it has none.
+func encodeMsg(m *flushMsg, ext *wirecodec.Ext) ([]byte, error) {
 	// Sized up front: the sealed payload dominates the frame, and letting
 	// append grow from nil re-copies it several times per message.
 	b := wirecodec.AppendPreambleExt(make([]byte, 0, len(m.Data)+64), ext)
@@ -116,18 +107,9 @@ func encodeMsgExt(m *flushMsg, ext *wirecodec.Ext) ([]byte, error) {
 	return b, nil
 }
 
-func decodeMsg(data []byte) (*flushMsg, error) {
-	m, _, err := decodeMsgExt(data)
-	return m, err
-}
-
-// decodeMsgExt is decodeMsg plus the frame's causal-tracing extension
-// (nil on V1 and gob frames).
-func decodeMsgExt(data []byte) (*flushMsg, *wirecodec.Ext, error) {
-	if !wirecodec.IsCodec(data) {
-		m, err := decodeMsgGob(data)
-		return m, nil, err
-	}
+// decodeMsg reads a flush-layer frame and its causal-tracing extension
+// (nil when the sender had no stamp).
+func decodeMsg(data []byte) (*flushMsg, *wirecodec.Ext, error) {
 	d := wirecodec.NewDec(data)
 	m := &flushMsg{}
 	m.Kind = int(d.Int())
@@ -140,23 +122,6 @@ func decodeMsgExt(data []byte) (*flushMsg, *wirecodec.Ext, error) {
 		return nil, nil, fmt.Errorf("decode flush message: %w", err)
 	}
 	return m, d.Ext(), nil
-}
-
-// encodeMsgGob is kept for the differential round-trip test.
-func encodeMsgGob(m *flushMsg) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("encode flush message: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeMsgGob(data []byte) (*flushMsg, error) {
-	var m flushMsg
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("decode flush message: %w", err)
-	}
-	return &m, nil
 }
 
 // Conn provides VS semantics over one spread client.
@@ -252,7 +217,7 @@ func (f *Conn) FlushOK(group string) error {
 	idStr := g.pendingStr
 	f.mu.Unlock()
 
-	enc, err := encodeMsgExt(&flushMsg{Kind: wireFlushOK, View: id},
+	enc, err := encodeMsg(&flushMsg{Kind: wireFlushOK, View: id},
 		f.wireSendExt("flush-ok", group, idStr))
 	if err != nil {
 		return err
@@ -296,7 +261,7 @@ func (f *Conn) sealSend(group string, svc spread.Service, data []byte) ([]byte, 
 	id := g.current.ID
 	idStr := g.currentStr
 	f.mu.Unlock()
-	return encodeMsgExt(&flushMsg{Kind: wireData, View: id, Service: svc, Data: data},
+	return encodeMsg(&flushMsg{Kind: wireData, View: id, Service: svc, Data: data},
 		f.wireSendExt("data", group, idStr))
 }
 
@@ -384,7 +349,7 @@ func (f *Conn) onView(v spread.ViewEvent) {
 }
 
 func (f *Conn) onData(e spread.DataEvent) {
-	m, ext, err := decodeMsgExt(e.Data)
+	m, ext, err := decodeMsg(e.Data)
 	if err != nil {
 		return // not a flush-layer frame: drop
 	}

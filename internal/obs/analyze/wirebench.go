@@ -3,24 +3,21 @@ package analyze
 import "fmt"
 
 // WireBench is the BENCH_wire.json schema written by `sgcbench -wire`: the
-// per-kind wire-codec microbenchmark (binary codec vs legacy gob — frame
-// sizes and encode/decode cost) plus a live end-to-end message-latency
-// sweep over payload sizes, mirroring the paper's message-latency-vs-size
-// figure for the data path.
+// per-kind wire-codec microbenchmark (frame sizes and encode/decode cost)
+// plus a live end-to-end message-latency sweep over payload sizes,
+// mirroring the paper's message-latency-vs-size figure for the data path.
 type WireBench struct {
 	Codec   []WireCodecPoint   `json:"codec"`
 	Latency []WireLatencyPoint `json:"latency"`
 }
 
-// WireCodecPoint is one wire kind's codec-vs-gob comparison.
+// WireCodecPoint is one wire kind's frame size and codec cost (the same
+// fields as spread.WireCodecStat, which this package cannot import).
 type WireCodecPoint struct {
 	Kind       string  `json:"kind"`
 	CodecBytes int     `json:"codec_bytes"`
-	GobBytes   int     `json:"gob_bytes"`
 	CodecEncNs float64 `json:"codec_encode_ns"`
-	GobEncNs   float64 `json:"gob_encode_ns"`
 	CodecDecNs float64 `json:"codec_decode_ns"`
-	GobDecNs   float64 `json:"gob_decode_ns"`
 }
 
 // WireLatencyPoint is one payload size's end-to-end latency through the

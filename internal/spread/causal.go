@@ -6,7 +6,7 @@ import (
 )
 
 // Causal wire tracing. Every codec-encoded daemon frame carries the
-// sender's hybrid-logical-clock stamp (wirecodec V2 extension); frames
+// sender's hybrid-logical-clock stamp (the wirecodec extension block); frames
 // that represent a protocol step additionally carry the (node, seq)
 // reference of a recorded "wire-send" trace event, which the receiver
 // stores as the causal parent of its "wire-recv" event. Heartbeats are

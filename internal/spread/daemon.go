@@ -362,7 +362,7 @@ func (d *Daemon) run() {
 }
 
 func (d *Daemon) handleInbound(in inboundMsg, now time.Time) {
-	msg, ext, err := decodeWireExt(in.data)
+	msg, ext, err := decodeWire(in.data)
 	if err != nil {
 		return // corrupt frame: drop
 	}
@@ -465,7 +465,7 @@ func (d *Daemon) tick() {
 	}}
 	// Pooled encode: transports copy on Send, so the buffer recycles as
 	// soon as the fan-out loop finishes.
-	data, err := encodeWireExtTo(wirecodec.GetBuf(), hb, d.clockExt())
+	data, err := encodeWire(wirecodec.GetBuf(), hb, d.clockExt())
 	if err == nil {
 		for _, p := range d.peers {
 			if p != d.name {
@@ -633,7 +633,7 @@ func (d *Daemon) broadcastData(p payload) {
 	// propagate the clock without recording a trace event: the causal
 	// chain the checkers rely on rides the flush layer's send→deliver
 	// edge, and two ring writes per message are measurable at bulk rates.
-	inner, err := encodeWireExtTo(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
+	inner, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
 	if err == nil {
 		enc, kind := inner, kindData
 		var sealed []byte
@@ -708,7 +708,7 @@ func (d *Daemon) echoHeartbeat() {
 		Stable: d.receiveHorizon(),
 		Seq:    d.seq,
 	}}
-	data, err := encodeWireExtTo(wirecodec.GetBuf(), hb, d.clockExt())
+	data, err := encodeWire(wirecodec.GetBuf(), hb, d.clockExt())
 	if err != nil {
 		wirecodec.PutBuf(data)
 		return
@@ -833,7 +833,7 @@ func (d *Daemon) onNack(from string, n *nackMsg) {
 // resendData re-sends one data message to a single daemon, sealed exactly
 // like the original broadcast when daemon keying is on.
 func (d *Daemon) resendData(to string, m *dataMsg) {
-	inner, err := encodeWireExtTo(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
+	inner, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
 	if err != nil {
 		wirecodec.PutBuf(inner)
 		return

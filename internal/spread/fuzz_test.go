@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strconv"
 	"testing"
 
@@ -54,30 +53,24 @@ func corpusWire(t testing.TB) [][]byte {
 		}},
 		{Kind: kindNack, Nack: &nackMsg{View: v, Sender: "d01", From: 2, To: 5}},
 	}
-	// Each message seeds three encodings: the binary codec (the default
-	// path), the V2 variant carrying the causal-tracing extension, and
-	// legacy gob (the fallback path old corpora exercise).
+	// Each message seeds two encodings, without and with the causal
+	// extension; the two retired-format frames come last.
 	var out [][]byte
 	for _, m := range msgs {
-		enc, err := encodeWire(m)
-		if err != nil {
-			t.Fatalf("encode corpus message kind %d: %v", m.Kind, err)
+		for _, ext := range []*wirecodec.Ext{nil, corpusExt()} {
+			enc, err := encodeWire(nil, m, ext)
+			if err != nil {
+				t.Fatalf("encode corpus message kind %d: %v", m.Kind, err)
+			}
+			out = append(out, enc)
 		}
-		eenc, err := encodeWireExtTo(nil, m, corpusExt())
-		if err != nil {
-			t.Fatalf("ext-encode corpus message kind %d: %v", m.Kind, err)
-		}
-		genc, err := encodeWireGob(m)
-		if err != nil {
-			t.Fatalf("gob-encode corpus message kind %d: %v", m.Kind, err)
-		}
-		out = append(out, enc, eenc, genc)
 	}
-	return out
+	gobFrame, v1Frame := legacyWire(t)
+	return append(out, gobFrame, v1Frame)
 }
 
-// corpusExt is the deterministic causal extension stamped on the V2
-// corpus frames and used by the ext round-trip differentials.
+// corpusExt is the deterministic causal extension stamped on the corpus
+// frames and used by the ext round-trip tests.
 func corpusExt() *wirecodec.Ext {
 	return &wirecodec.Ext{
 		From: obs.EventRef{Node: "d01", Seq: 42},
@@ -86,10 +79,8 @@ func corpusExt() *wirecodec.Ext {
 }
 
 // FuzzWireRoundTrip feeds arbitrary bytes to the daemon wire decoder. The
-// decoder must never panic; any frame it accepts must survive a normalized
-// re-encode/re-decode round trip exactly (decode is canonicalizing: the
-// first decode maps wire bytes to a value, after which encode/decode is an
-// exact identity).
+// decoder must never panic; any frame it accepts must survive a
+// re-encode/re-decode round trip exactly.
 func FuzzWireRoundTrip(f *testing.F) {
 	for _, b := range corpusWire(f) {
 		f.Add(b)
@@ -98,28 +89,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if len(raw) > 1<<16 {
 			return // bound allocation, matching daemon frame expectations
 		}
-		m, err := decodeWire(raw)
-		if err != nil {
-			return // rejected frames are fine; panics are not
-		}
-		enc, err := encodeWire(m)
-		if err != nil {
-			t.Fatalf("decoded frame failed to re-encode: %v", err)
-		}
-		m2, err := decodeWire(enc)
-		if err != nil {
-			t.Fatalf("re-encoded frame failed to decode: %v", err)
-		}
-		enc2, err := encodeWire(m2)
-		if err != nil {
-			t.Fatalf("normalized frame failed to re-encode: %v", err)
-		}
-		m3, err := decodeWire(enc2)
-		if err != nil {
-			t.Fatalf("normalized frame failed to re-decode: %v", err)
-		}
-		if !reflect.DeepEqual(m2, m3) {
-			t.Fatalf("wire round trip not stable:\nfirst:  %#v\nsecond: %#v", m2, m3)
+		if m, _, err := decodeWire(raw); err == nil {
+			checkWireCodecIdentity(t, m)
 		}
 	})
 }
@@ -127,16 +98,21 @@ func FuzzWireRoundTrip(f *testing.F) {
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus under
 // testdata/fuzz. Gated so normal runs never touch the tree:
 //
-//	WRITE_FUZZ_CORPUS=1 go test ./internal/spread -run TestWriteFuzzCorpus
+//	WRITE_FUZZ_CORPUS=1 go test ./internal/spread -run 'TestWrite.*Corpus'
 func TestWriteFuzzCorpus(t *testing.T) {
+	writeCorpus(t, "FuzzWireRoundTrip", corpusWire(t))
+}
+
+// writeCorpus writes frames as a fuzz target's checked-in seed-NN files.
+func writeCorpus(t *testing.T, target string, frames [][]byte) {
 	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
 		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the checked-in corpus")
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireRoundTrip")
+	dir := filepath.Join("testdata", "fuzz", target)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range corpusWire(t) {
+	for i, b := range frames {
 		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
 		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
 		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {

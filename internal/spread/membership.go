@@ -100,7 +100,7 @@ func (d *Daemon) startForming() {
 }
 
 func (d *Daemon) sendTo(to string, m *wireMsg) {
-	data, err := encodeWireExtTo(wirecodec.GetBuf(), m, d.wireSendExt(m.Kind))
+	data, err := encodeWire(wirecodec.GetBuf(), m, d.wireSendExt(m.Kind))
 	if err != nil {
 		wirecodec.PutBuf(data)
 		return
@@ -195,7 +195,7 @@ func (d *Daemon) makeSyncAck() *syncAckMsg {
 	ack := &syncAckMsg{Round: d.form.round, OldView: d.view.ID}
 	add := func(m *dataMsg) {
 		if d.sec != nil && d.sec.ready && d.sec.suite != nil {
-			enc, err := encodeWireTo(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m})
+			enc, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, nil)
 			if err != nil {
 				wirecodec.PutBuf(enc)
 				return
@@ -362,7 +362,7 @@ func (d *Daemon) installView(inst *installMsg) {
 			if err != nil {
 				continue
 			}
-			inner, err := decodeWire(plain)
+			inner, _, err := decodeWire(plain)
 			if err != nil || inner.Kind != kindData || inner.Data == nil {
 				continue
 			}

@@ -138,7 +138,7 @@ func (d *Daemon) secReset() {
 }
 
 func (d *Daemon) secSendAll(kind msgKind, body *secMsg) {
-	data, err := encodeWireExtTo(wirecodec.GetBuf(), &wireMsg{Kind: kind, Sec: body}, d.wireSendExt(kind))
+	data, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kind, Sec: body}, d.wireSendExt(kind))
 	if err != nil {
 		wirecodec.PutBuf(data)
 		return
@@ -208,7 +208,7 @@ func (d *Daemon) secDrive() {
 func (d *Daemon) secTransmit(msgs []kga.Message) {
 	for _, m := range msgs {
 		body := &secMsg{View: d.view.ID, KGA: &m}
-		data, err := encodeWireExtTo(wirecodec.GetBuf(), &wireMsg{Kind: kindSecKGA, Sec: body}, d.wireSendExt(kindSecKGA))
+		data, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindSecKGA, Sec: body}, d.wireSendExt(kindSecKGA))
 		if err != nil {
 			wirecodec.PutBuf(data)
 			continue
@@ -331,7 +331,7 @@ func (d *Daemon) secSealEncode(encoded []byte) ([]byte, error) {
 		wirecodec.PutBuf(frameBuf)
 		return nil, err
 	}
-	enc, err := encodeWireExtTo(wirecodec.GetBuf(), &wireMsg{Kind: kindSecData, Sec: &secMsg{
+	enc, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindSecData, Sec: &secMsg{
 		View:  d.view.ID,
 		Epoch: s.key.Epoch,
 		Frame: frame,
@@ -367,7 +367,7 @@ func (d *Daemon) onSecData(from string, m *secMsg) {
 	if err != nil {
 		return // forged or corrupted: drop
 	}
-	inner, ext, err := decodeWireExt(plain)
+	inner, ext, err := decodeWire(plain)
 	if err != nil || inner.Kind != kindData {
 		return
 	}

@@ -1,12 +1,6 @@
 package spread
 
-import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
-	"repro/internal/wirecodec"
-)
+import "fmt"
 
 // Daemon wire message kinds.
 type msgKind int
@@ -29,62 +23,31 @@ const (
 	kindMax // one past the last kind; sizes per-kind metric tables
 )
 
-// kindName labels a wire kind for metrics and traces.
-func kindName(k msgKind) string {
-	switch k {
-	case kindHeartbeat:
-		return "heartbeat"
-	case kindData:
-		return "data"
-	case kindPropose:
-		return "propose"
-	case kindSync:
-		return "sync"
-	case kindSyncAck:
-		return "syncack"
-	case kindInstall:
-		return "install"
-	case kindSecAnnounce:
-		return "sec-announce"
-	case kindSecKGA:
-		return "sec-kga"
-	case kindSecData:
-		return "sec-data"
-	case kindNack:
-		return "nack"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
+// kindDetails holds each kind's trace detail string, built once: the wire
+// trace hot path stamps one on every frame.
+var kindDetails = [kindMax]string{
+	kindHeartbeat:   "kind=heartbeat",
+	kindData:        "kind=data",
+	kindPropose:     "kind=propose",
+	kindSync:        "kind=sync",
+	kindSyncAck:     "kind=syncack",
+	kindInstall:     "kind=install",
+	kindSecAnnounce: "kind=sec-announce",
+	kindSecKGA:      "kind=sec-kga",
+	kindSecData:     "kind=sec-data",
+	kindNack:        "kind=nack",
 }
 
-// kindDetail is "kind=" + kindName(k) without the per-call concatenation:
-// the wire trace hot path stamps it on every frame.
+// kindDetail is the trace detail "kind=<name>" of a wire kind.
 func kindDetail(k msgKind) string {
-	switch k {
-	case kindHeartbeat:
-		return "kind=heartbeat"
-	case kindData:
-		return "kind=data"
-	case kindPropose:
-		return "kind=propose"
-	case kindSync:
-		return "kind=sync"
-	case kindSyncAck:
-		return "kind=syncack"
-	case kindInstall:
-		return "kind=install"
-	case kindSecAnnounce:
-		return "kind=sec-announce"
-	case kindSecKGA:
-		return "kind=sec-kga"
-	case kindSecData:
-		return "kind=sec-data"
-	case kindNack:
-		return "kind=nack"
-	default:
-		return "kind=" + kindName(k)
+	if k <= 0 || k >= kindMax {
+		return fmt.Sprintf("kind=kind(%d)", int(k))
 	}
+	return kindDetails[k]
 }
+
+// kindName labels a wire kind for metrics and traces.
+func kindName(k msgKind) string { return kindDetail(k)[len("kind="):] }
 
 // payloadKind classifies the content of a data message.
 type payloadKind int
@@ -236,47 +199,4 @@ type installMsg struct {
 	// RecoveredSealed carries daemon-keyed recovery entries; only
 	// members of the old view hold the key.
 	RecoveredSealed map[ViewID][]sealedData
-}
-
-// encodeWire encodes a daemon wire message. The steady-state path is the
-// hand-rolled binary codec in wirecodec.go; messages it cannot represent
-// (unknown kinds from a future version) fall back to gob. Hot paths that
-// can recycle the buffer use encodeWireTo with a pooled buffer instead.
-func encodeWire(m *wireMsg) ([]byte, error) {
-	return encodeWireTo(nil, m)
-}
-
-// decodeWire decodes a daemon wire frame, dispatching on the first byte:
-// the wirecodec preamble selects the binary codec, anything else is a
-// legacy gob frame (old traces, fuzz corpora, mixed-version peers).
-func decodeWire(data []byte) (*wireMsg, error) {
-	m, _, err := decodeWireExt(data)
-	return m, err
-}
-
-// decodeWireExt is decodeWire plus the frame's causal-tracing extension
-// (nil on V1 and gob frames — messages from old peers simply carry no
-// causal stamp).
-func decodeWireExt(data []byte) (*wireMsg, *wirecodec.Ext, error) {
-	if wirecodec.IsCodec(data) {
-		return decodeWireCodec(data)
-	}
-	m, err := decodeWireGob(data)
-	return m, nil, err
-}
-
-func encodeWireGob(m *wireMsg) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, fmt.Errorf("encode wire message: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeWireGob(data []byte) (*wireMsg, error) {
-	var m wireMsg
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
-		return nil, fmt.Errorf("decode wire message: %w", err)
-	}
-	return &m, nil
 }

@@ -6,18 +6,14 @@ import (
 	"repro/internal/wirecodec"
 )
 
-// WireCodecStat records one wire kind's frame size and encode/decode cost
-// under the binary codec and the legacy gob path. Exported so cmd/sgcbench
-// can regenerate BENCH_wire.json without reaching into unexported wire
-// types.
+// WireCodecStat records one wire kind's frame size and encode/decode
+// cost. Exported so cmd/sgcbench can regenerate BENCH_wire.json without
+// reaching into unexported wire types.
 type WireCodecStat struct {
 	Kind       string  `json:"kind"`
 	CodecBytes int     `json:"codec_bytes"`
-	GobBytes   int     `json:"gob_bytes"`
 	CodecEncNs float64 `json:"codec_encode_ns"`
-	GobEncNs   float64 `json:"gob_encode_ns"`
 	CodecDecNs float64 `json:"codec_decode_ns"`
-	GobDecNs   float64 `json:"gob_decode_ns"`
 }
 
 // wireBenchMessages returns one representative message per steady-state
@@ -54,7 +50,7 @@ func wireBenchMessages() []*wireMsg {
 }
 
 // MeasureWireCodec times encode and decode of each representative wire
-// message through the binary codec and through gob, averaging iters runs.
+// message, averaging iters runs.
 func MeasureWireCodec(iters int) []WireCodecStat {
 	if iters <= 0 {
 		iters = 200
@@ -63,40 +59,24 @@ func MeasureWireCodec(iters int) []WireCodecStat {
 	for _, m := range wireBenchMessages() {
 		s := WireCodecStat{Kind: kindName(m.Kind)}
 
-		cenc, err := encodeWireTo(nil, m)
+		enc, err := encodeWire(nil, m, nil)
 		if err != nil {
 			continue
 		}
-		genc, err := encodeWireGob(m)
-		if err != nil {
-			continue
-		}
-		s.CodecBytes, s.GobBytes = len(cenc), len(genc)
+		s.CodecBytes = len(enc)
 
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			buf, _ := encodeWireTo(wirecodec.GetBuf(), m)
+			buf, _ := encodeWire(wirecodec.GetBuf(), m, nil)
 			wirecodec.PutBuf(buf)
 		}
 		s.CodecEncNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
 
 		start = time.Now()
 		for i := 0; i < iters; i++ {
-			_, _ = encodeWireGob(m)
-		}
-		s.GobEncNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
-
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			_, _, _ = decodeWireCodec(cenc)
+			_, _, _ = decodeWire(enc)
 		}
 		s.CodecDecNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
-
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			_, _ = decodeWireGob(genc)
-		}
-		s.GobDecNs = float64(time.Since(start).Nanoseconds()) / float64(iters)
 
 		out = append(out, s)
 	}

@@ -8,35 +8,18 @@ import (
 )
 
 // Hand-rolled binary encoding of the daemon wire vocabulary (see
-// internal/wirecodec for the format rules). Layout after the two-byte
-// preamble:
+// internal/wirecodec for the format rules). Layout after the preamble:
 //
 //	[kind zigzag-varint] [body present? 1 byte] [kind-specific fields]
 //
-// Only the body matching the kind travels; a gob-decoded message carrying
-// stray extra pointers normalizes to its kind's body on re-encode, which
-// the fuzz round-trip harness allows (the first decode canonicalizes).
-// Kinds outside the known range fall back to gob so a newer peer's frames
-// still encode and old corpora still decode.
+// Only the body matching the kind travels.
 
-// encodeWireTo appends m's encoding to buf (often a pooled buffer from
-// wirecodec.GetBuf) and returns the extended slice.
-func encodeWireTo(buf []byte, m *wireMsg) ([]byte, error) {
-	return encodeWireExtTo(buf, m, nil)
-}
-
-// encodeWireExtTo is encodeWireTo with a causal-tracing wire extension:
-// a non-nil ext selects the V2 preamble carrying the sender's HLC stamp
-// and send-event reference. The body encoding is identical either way;
-// messages that fall back to gob drop the extension (the legacy format
-// cannot carry it).
-func encodeWireExtTo(buf []byte, m *wireMsg, ext *wirecodec.Ext) ([]byte, error) {
+// encodeWire appends m's encoding to buf (often a pooled buffer from
+// wirecodec.GetBuf) and returns the extended slice. ext is the sender's
+// causal-tracing stamp, nil when it has none.
+func encodeWire(buf []byte, m *wireMsg, ext *wirecodec.Ext) ([]byte, error) {
 	if m.Kind <= 0 || m.Kind >= kindMax {
-		enc, err := encodeWireGob(m)
-		if err != nil {
-			return nil, err
-		}
-		return append(buf, enc...), nil
+		return nil, fmt.Errorf("encode wire message: unknown kind %d", int(m.Kind))
 	}
 	b := wirecodec.AppendPreambleExt(buf, ext)
 	b = wirecodec.AppendInt(b, int64(m.Kind))
@@ -104,11 +87,13 @@ func appendPresent(b []byte, isNil bool) []byte {
 	return append(b, 1)
 }
 
-func decodeWireCodec(data []byte) (*wireMsg, *wirecodec.Ext, error) {
+// decodeWire decodes a daemon wire frame and its causal-tracing extension
+// (nil when the sender had no stamp).
+func decodeWire(data []byte) (*wireMsg, *wirecodec.Ext, error) {
 	d := wirecodec.NewDec(data)
 	m := &wireMsg{Kind: msgKind(d.Int())}
 	if err := d.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("decode wire message: %w", err)
 	}
 	if m.Kind <= 0 || m.Kind >= kindMax {
 		return nil, nil, fmt.Errorf("decode wire message: unknown kind %d", int(m.Kind))

@@ -2,13 +2,11 @@ package spread
 
 import (
 	"bytes"
-	"fmt"
+	"encoding/gob"
+	"errors"
 	"math/big"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
-	"strconv"
 	"testing"
 
 	"repro/internal/kga"
@@ -18,9 +16,7 @@ import (
 // ---- randomized message generator ----
 //
 // Containers are generated nil or with >= 1 element, never empty non-nil:
-// gob cannot distinguish nil from empty (it omits zero values), so the
-// differential test would report spurious mismatches on shapes the daemon
-// never produces.
+// shapes the daemon never produces.
 
 func randString(r *rand.Rand) string {
 	n := r.Intn(12)
@@ -165,143 +161,110 @@ func randWireMsg(r *rand.Rand) *wireMsg {
 	return m
 }
 
-// TestWireCodecGobDifferential encodes randomized messages through both the
-// binary codec and the legacy gob path and requires the decoded values to
-// agree with each other and with the original — the codec must be a drop-in
-// semantic replacement, not merely self-consistent.
-func TestWireCodecGobDifferential(t *testing.T) {
+// TestWireCodecRoundTrip requires decode(encode(x)) to be x on randomized
+// messages, with and without a causal extension, and the extension to
+// come back as sent.
+func TestWireCodecRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
-		m := randWireMsg(r)
-
-		cenc, err := encodeWireTo(nil, m)
-		if err != nil {
-			t.Fatalf("#%d: codec encode: %v (%#v)", i, err, m)
-		}
-		if !wirecodec.IsCodec(cenc) {
-			t.Fatalf("#%d: codec encoding missing preamble", i)
-		}
-		genc, err := encodeWireGob(m)
-		if err != nil {
-			t.Fatalf("#%d: gob encode: %v", i, err)
-		}
-
-		cm, err := decodeWire(cenc)
-		if err != nil {
-			t.Fatalf("#%d: codec decode: %v (%#v)", i, err, m)
-		}
-		gm, err := decodeWire(genc)
-		if err != nil {
-			t.Fatalf("#%d: gob decode: %v", i, err)
-		}
-		if !reflect.DeepEqual(cm, m) {
-			t.Fatalf("#%d: codec round trip diverged:\nin:  %#v\nout: %#v", i, m, cm)
-		}
-		if !reflect.DeepEqual(cm, gm) {
-			t.Fatalf("#%d: codec and gob decode disagree:\ncodec: %#v\ngob:   %#v", i, cm, gm)
-		}
+		checkWireCodecIdentity(t, randWireMsg(r))
 	}
 }
 
-// TestWireCodecSmallerThanGob pins the size win that motivates the codec:
-// every representative frame must encode strictly smaller than gob.
-func TestWireCodecSmallerThanGob(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 200; i++ {
-		m := randWireMsg(r)
-		cenc, err := encodeWireTo(nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		genc, err := encodeWireGob(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cenc) >= len(genc) {
-			t.Fatalf("#%d kind %s: codec %dB not smaller than gob %dB", i, kindName(m.Kind), len(cenc), len(genc))
-		}
-	}
-}
-
-// TestWireCodecGobFallbackKinds covers the escape hatch: kinds outside the
-// known range encode via gob and still decode.
-func TestWireCodecGobFallbackKinds(t *testing.T) {
+// TestEncodeWireRejectsUnknownKinds: a kind outside the vocabulary is an
+// encode error, never a frame in some other format.
+func TestEncodeWireRejectsUnknownKinds(t *testing.T) {
 	for _, kind := range []msgKind{0, -3, kindMax, kindMax + 7} {
-		m := &wireMsg{Kind: kind}
-		enc, err := encodeWire(m)
-		if err != nil {
-			t.Fatalf("kind %d: encode: %v", kind, err)
-		}
-		if wirecodec.IsCodec(enc) {
-			t.Fatalf("kind %d: out-of-range kind must fall back to gob", kind)
-		}
-		got, err := decodeWire(enc)
-		if err != nil {
-			t.Fatalf("kind %d: decode: %v", kind, err)
-		}
-		if got.Kind != kind {
-			t.Fatalf("kind %d: decoded as %d", kind, got.Kind)
+		if enc, err := encodeWire(nil, &wireMsg{Kind: kind}, nil); err == nil {
+			t.Errorf("kind %d: encoded to %x, want error", kind, enc)
 		}
 	}
 }
 
-// FuzzWireCodec targets the binary decoder specifically: arbitrary bytes
-// after a forced codec preamble must never panic, and any accepted frame
-// must re-encode/decode as an exact identity (the binary codec, unlike the
-// gob fallback, is canonical from the first decode).
+// legacyWire returns one frame in each retired format — gob, and the
+// extension-less [Magic][0x01] preamble — kept in the fuzz corpora as
+// must-reject seeds.
+func legacyWire(t testing.TB) (gobFrame, v1Frame []byte) {
+	t.Helper()
+	m := &wireMsg{Kind: kindPropose, Prop: &proposeMsg{Round: 7}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	enc, err := encodeWire(nil, m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the (empty) extension block and stamp the old version byte.
+	return buf.Bytes(), append([]byte{wirecodec.Magic, 0x01}, enc[3:]...)
+}
+
+// TestDecodeWireRejects: retired formats and malformed preambles are
+// errors the caller can classify, never panics or half-decoded values.
+func TestDecodeWireRejects(t *testing.T) {
+	gobFrame, v1Frame := legacyWire(t)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"gob", gobFrame, wirecodec.ErrNotCodec},
+		{"version 1", v1Frame, wirecodec.ErrBadVersion},
+		{"unknown version", []byte{wirecodec.Magic, 0x7f, 0, 2, 0}, wirecodec.ErrBadVersion},
+		{"ext-len overruns frame", []byte{wirecodec.Magic, wirecodec.Version, 40, 2, 0}, wirecodec.ErrTruncated},
+		{"empty", nil, wirecodec.ErrNotCodec},
+	} {
+		if m, _, err := decodeWire(tc.in); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got (%v, %v), want %v", tc.name, m, err, tc.want)
+		}
+	}
+}
+
+// FuzzWireCodec targets the body decoder specifically: arbitrary bytes
+// after a forced preamble (so the leading bytes parse as the extension
+// block) must never panic, and any accepted frame must re-encode/decode
+// as an exact identity.
 func FuzzWireCodec(f *testing.F) {
 	for _, b := range corpusWire(f) {
-		if wirecodec.IsCodec(b) {
-			f.Add(b[2:]) // strip the preamble the fuzz body re-adds
-		}
+		f.Add(b[2:]) // strip the preamble the fuzz body re-adds
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		if len(raw) > 1<<16 {
 			return
 		}
-		// The same body bytes are tried under both preambles: V1 (no
-		// extension) and V2 (the leading bytes parse as the causal
-		// extension header). Neither may panic.
-		frame := append(wirecodec.AppendPreamble(nil), raw...)
-		if m, _, err := decodeWireCodec(frame); err == nil {
-			checkWireCodecIdentity(t, m)
-		}
-		frameV2 := append([]byte{wirecodec.Magic, wirecodec.V2}, raw...)
-		if m, _, err := decodeWireCodec(frameV2); err == nil {
+		frame := append([]byte{wirecodec.Magic, wirecodec.Version}, raw...)
+		if m, _, err := decodeWire(frame); err == nil {
 			checkWireCodecIdentity(t, m)
 		}
 	})
 }
 
 // checkWireCodecIdentity asserts the codec invariants on an accepted
-// message: re-encode/decode is an exact identity, and the no-extension ↔
-// extension differential — the same message encoded with a causal
-// extension must decode identically (returning the extension), and its
-// body after the versioned header must be byte-identical to the V1
-// body, so old nodes and new nodes decode the same message from the
-// same bytes.
+// message: re-encode/decode is an exact identity, and the same message
+// encoded with a causal extension decodes identically and returns the
+// extension.
 func checkWireCodecIdentity(t *testing.T, m *wireMsg) {
 	t.Helper()
-	enc, err := encodeWireTo(nil, m)
+	enc, err := encodeWire(nil, m, nil)
 	if err != nil {
 		t.Fatalf("accepted frame failed to re-encode: %v (%#v)", err, m)
 	}
-	m2, ext2, err := decodeWireCodec(enc)
+	m2, ext2, err := decodeWire(enc)
 	if err != nil {
 		t.Fatalf("re-encoded frame failed to decode: %v", err)
 	}
 	if ext2 != nil {
-		t.Fatalf("extension materialized out of a V1 frame: %#v", ext2)
+		t.Fatalf("extension materialized out of a stampless frame: %#v", ext2)
 	}
 	if !reflect.DeepEqual(m, m2) {
 		t.Fatalf("codec round trip not identity:\nfirst:  %#v\nsecond: %#v", m, m2)
 	}
 	ext := corpusExt()
-	encExt, err := encodeWireExtTo(nil, m, ext)
+	encExt, err := encodeWire(nil, m, ext)
 	if err != nil {
 		t.Fatalf("ext encode failed: %v", err)
 	}
-	m3, gotExt, err := decodeWireCodec(encExt)
+	m3, gotExt, err := decodeWire(encExt)
 	if err != nil {
 		t.Fatalf("ext frame failed to decode: %v", err)
 	}
@@ -311,34 +274,20 @@ func checkWireCodecIdentity(t *testing.T, m *wireMsg) {
 	if !reflect.DeepEqual(m, m3) {
 		t.Fatalf("ext frame decoded differently:\nplain: %#v\next:   %#v", m, m3)
 	}
-	if !bytes.HasSuffix(encExt, enc[2:]) {
-		t.Fatalf("V2 body diverged from V1 body:\nV1: %x\nV2: %x", enc, encExt)
-	}
 }
 
 // TestWriteWireCodecCorpus regenerates the checked-in FuzzWireCodec seeds
-// (preamble-stripped codec frames). Same gate as TestWriteFuzzCorpus.
+// (the FuzzWireRoundTrip seeds with their first two bytes stripped). Same
+// gate as TestWriteFuzzCorpus.
 func TestWriteWireCodecCorpus(t *testing.T) {
-	if os.Getenv("WRITE_FUZZ_CORPUS") == "" {
-		t.Skip("set WRITE_FUZZ_CORPUS=1 to regenerate the checked-in corpus")
+	frames := corpusWire(t)
+	for i := range frames {
+		frames[i] = frames[i][2:]
 	}
-	dir := filepath.Join("testdata", "fuzz", "FuzzWireCodec")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for i, b := range corpusWire(t) {
-		if !wirecodec.IsCodec(b) {
-			continue
-		}
-		body := "go test fuzz v1\n[]byte(" + strconv.Quote(string(b[2:])) + ")\n"
-		name := filepath.Join(dir, fmt.Sprintf("seed-%02d", i))
-		if err := os.WriteFile(name, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeCorpus(t, "FuzzWireCodec", frames)
 }
 
-// ---- benchmarks: codec vs gob on the steady-state frame mix ----
+// ---- benchmarks: the steady-state frame mix ----
 
 // benchFrameMsgs is the per-iteration work unit: one heartbeat and one
 // 1 KiB data message, the two frames that dominate a loaded daemon.
@@ -359,62 +308,34 @@ func benchFrameMsgs() []*wireMsg {
 
 func BenchmarkWireEncode(b *testing.B) {
 	msgs := benchFrameMsgs()
-	b.Run("codec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, m := range msgs {
-				buf, err := encodeWireTo(wirecodec.GetBuf(), m)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wirecodec.PutBuf(buf)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, m := range msgs {
+			buf, err := encodeWire(wirecodec.GetBuf(), m, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
+			wirecodec.PutBuf(buf)
 		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, m := range msgs {
-				if _, err := encodeWireGob(m); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkWireDecode(b *testing.B) {
-	msgs := benchFrameMsgs()
-	var cenc, genc [][]byte
-	for _, m := range msgs {
-		ce, err := encodeWireTo(nil, m)
+	var encs [][]byte
+	for _, m := range benchFrameMsgs() {
+		enc, err := encodeWire(nil, m, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ge, err := encodeWireGob(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cenc, genc = append(cenc, ce), append(genc, ge)
+		encs = append(encs, enc)
 	}
-	b.Run("codec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, e := range cenc {
-				if _, err := decodeWire(e); err != nil {
-					b.Fatal(err)
-				}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, e := range encs {
+			if _, _, err := decodeWire(e); err != nil {
+				b.Fatal(err)
 			}
 		}
-	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, e := range genc {
-				if _, err := decodeWire(e); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
+	}
 }

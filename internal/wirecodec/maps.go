@@ -6,9 +6,8 @@ import (
 )
 
 // String-keyed map encodings, used by the key-agreement message bodies
-// (cliques, ckd). Keys travel sorted so encoding is deterministic — gob's
-// random map order was the reason those protocols MAC canonical forms
-// rather than encodings, and the codec keeps that property anyway.
+// (cliques, ckd). Keys travel sorted so encoding is deterministic; those
+// protocols still MAC canonical forms rather than encodings.
 
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))

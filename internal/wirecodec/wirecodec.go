@@ -1,25 +1,24 @@
-// Package wirecodec is the hand-rolled binary codec behind every hot wire
-// format in the reproduction: daemon wire messages (internal/spread), the
-// secure layer's envelopes (internal/core), flush-layer frames
-// (internal/flush), and the key-agreement protocol bodies (internal/cliques,
-// internal/ckd).
+// Package wirecodec is the hand-rolled binary codec behind every daemon and
+// secure-layer wire format in the reproduction: daemon wire messages
+// (internal/spread), the secure layer's envelopes (internal/core),
+// flush-layer frames (internal/flush), and the key-agreement protocol bodies
+// (internal/cliques, internal/ckd).
 //
 // The paper's data-plane numbers (Sections 5-6: message latency from 1 byte
 // to 100 KB, sustained encrypted throughput) are dominated by per-message
-// costs, and reflection-based encoding/gob pays them three times over: a
-// type-description prefix on every message, reflection walks on encode and
-// decode, and buffer churn. This codec replaces it on the steady-state
-// paths with length-prefixed varint fields appended into pooled buffers.
+// costs, so every field is a length-prefixed varint or byte run appended
+// into a pooled buffer: no type descriptions, no reflection.
 //
-// Format. Every encoded value starts with the two-byte preamble
+// Format. Every encoded value is
 //
-//	[Magic 0x00] [Version 0x01]
+//	[Magic 0x00] [Version 0x02] [ext-len uvarint] [ext] [body]
 //
-// followed by a package-chosen kind tag (uvarint) and the kind's fields.
-// Magic 0x00 can never begin a gob stream — gob prefixes each message with
-// a nonzero uvarint byte count — so decoders dispatch on the first byte:
-// 0x00 selects this codec, anything else falls back to gob. Old traces,
-// fuzz corpora and mixed-version clusters therefore keep decoding.
+// where ext is the causal-tracing extension (see Ext; ext-len 0 when the
+// sender has no stamp) and body is a package-chosen kind tag followed by
+// the kind's fields. There is one format generation: NewDec rejects a
+// frame whose first byte is not Magic with ErrNotCodec and any other
+// version byte with ErrBadVersion, and this package alone knows the
+// preamble layout.
 //
 // Encoding rules:
 //   - unsigned integers: uvarint (encoding/binary AppendUvarint)
@@ -44,26 +43,17 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"math/bits"
 
 	"repro/internal/obs"
 )
 
 // Preamble bytes shared by every package-level format built on this codec.
 const (
-	// Magic is the first byte of every wirecodec encoding. A gob stream
-	// begins with a nonzero message length, so this byte alone
-	// discriminates codec frames from legacy gob frames.
+	// Magic is the first byte of every wirecodec encoding.
 	Magic = 0x00
-	// V1 is the base format version, the second byte of the preamble.
-	V1 = 0x01
-	// V2 is V1 plus a length-prefixed causal-tracing extension between
-	// the preamble and the body: the sender's hybrid-logical-clock stamp
-	// and the (node, seq) reference of the send trace event. The length
-	// prefix makes the extension self-delimiting, so decoders skip
-	// fields appended by future versions, and a V2 frame with the
-	// extension stripped is byte-for-byte a V1 frame.
-	V2 = 0x02
+	// Version is the second byte. It is 0x02: 0x01 was the preamble
+	// without the extension block, which no decoder accepts any more.
+	Version = 0x02
 )
 
 // Errors returned by decoding.
@@ -75,17 +65,7 @@ var (
 	ErrTrailing   = errors.New("wirecodec: trailing bytes after value")
 )
 
-// IsCodec reports whether data begins with a wirecodec preamble (any
-// known version), i.e. whether the new codec (rather than the gob
-// fallback) should decode it.
-func IsCodec(data []byte) bool {
-	return len(data) >= 2 && data[0] == Magic && (data[1] == V1 || data[1] == V2)
-}
-
-// AppendPreamble appends the [Magic][V1] preamble.
-func AppendPreamble(b []byte) []byte { return append(b, Magic, V1) }
-
-// Ext is the V2 causal-tracing wire extension: the sender's hybrid
+// Ext is the causal-tracing wire extension: the sender's hybrid
 // logical clock at send time plus the trace reference of the send
 // event. Receivers merge HLC into their clock (so receive stamps order
 // after the send, whatever the host clocks say) and record From as the
@@ -97,16 +77,15 @@ type Ext struct {
 	HLC  obs.HLC
 }
 
-// AppendPreambleExt appends the preamble, versioned by the extension: a
-// nil ext emits a plain V1 preamble (byte-identical to AppendPreamble,
-// so old peers keep decoding), a non-nil ext emits [Magic][V2] and the
-// length-prefixed extension payload. The body that follows is the same
-// either way.
+// AppendPreambleExt appends [Magic][Version] and the length-prefixed
+// extension block, which is empty (length 0) for a nil ext. The length
+// prefix makes the block self-delimiting, so decoders skip fields a
+// later sender appends to it.
 func AppendPreambleExt(b []byte, ext *Ext) []byte {
+	b = append(b, Magic, Version)
 	if ext == nil {
-		return append(b, Magic, V1)
+		return append(b, 0)
 	}
-	b = append(b, Magic, V2)
 	// Payload built on the stack: node + 3 varints stay tiny.
 	var tmp [64]byte
 	p := tmp[:0]
@@ -201,30 +180,27 @@ type Dec struct {
 	ext *Ext
 }
 
-// NewDec builds a decoder over data positioned after the preamble. It
-// verifies the preamble (parsing the V2 causal extension when present)
-// and returns ErrNotCodec / ErrBadVersion mismatches through the
-// decoder's error state.
+// NewDec builds a decoder over data positioned after the preamble and
+// its extension block. A first byte other than Magic (or a frame too
+// short to hold the preamble) is ErrNotCodec, any version byte other
+// than Version is ErrBadVersion; both surface through the decoder's
+// error state.
 func NewDec(data []byte) *Dec {
 	d := &Dec{b: data}
-	if len(data) < 2 || data[0] != Magic {
+	switch {
+	case len(data) < 2 || data[0] != Magic:
 		d.err = ErrNotCodec
-		return d
-	}
-	switch data[1] {
-	case V1:
-		d.off = 2
-	case V2:
+	case data[1] != Version:
+		d.err = ErrBadVersion
+	default:
 		d.off = 2
 		d.readExt()
-	default:
-		d.err = ErrBadVersion
 	}
 	return d
 }
 
-// readExt parses the V2 extension block. The length prefix delimits it,
-// so fields appended by future versions are skipped; a block whose
+// readExt parses the extension block. The length prefix delimits it,
+// so fields appended by future senders are skipped; a block whose
 // declared fields overrun the prefix is corrupt.
 func (d *Dec) readExt() {
 	n := d.Uvarint()
@@ -237,7 +213,7 @@ func (d *Dec) readExt() {
 	}
 	end := d.off + int(n)
 	if n == 0 {
-		return // stampless V2 frame: legal, same as V1
+		return // the sender had no stamp
 	}
 	var ext Ext
 	ext.From.Node = d.String()
@@ -255,8 +231,8 @@ func (d *Dec) readExt() {
 	d.ext = &ext
 }
 
-// Ext returns the frame's causal-tracing extension, or nil for V1
-// frames (and V2 frames with an empty extension block).
+// Ext returns the frame's causal-tracing extension, or nil when the
+// extension block is empty.
 func (d *Dec) Ext() *Ext { return d.ext }
 
 // Err returns the first decoding error, or nil.
@@ -348,18 +324,6 @@ func (d *Dec) Bytes() []byte {
 	return d.take(n - 1)
 }
 
-// CopyBytes reads a nil-preserving byte slice into fresh memory, for values
-// retained past the input buffer's lifetime.
-func (d *Dec) CopyBytes() []byte {
-	v := d.Bytes()
-	if v == nil {
-		return nil
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out
-}
-
 // String reads a length-prefixed string.
 func (d *Dec) String() string {
 	n := d.Uvarint()
@@ -436,9 +400,4 @@ func (d *Dec) BigInt() *big.Int {
 		v.Neg(v)
 	}
 	return v
-}
-
-// UvarintLen returns the encoded size of u, for pre-sizing buffers.
-func UvarintLen(u uint64) int {
-	return (bits.Len64(u|1) + 6) / 7
 }

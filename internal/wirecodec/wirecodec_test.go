@@ -2,15 +2,17 @@ package wirecodec
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"reflect"
 	"testing"
 
 	"repro/internal/kga"
+	"repro/internal/obs"
 )
 
 func TestPrimitivesRoundTrip(t *testing.T) {
-	b := AppendPreamble(nil)
+	b := AppendPreambleExt(nil, nil)
 	b = AppendUvarint(b, 0)
 	b = AppendUvarint(b, 1<<63)
 	b = AppendInt(b, -1)
@@ -84,11 +86,48 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecRejectsBadPreamble pins the single format generation: anything
+// but [Magic][Version] and a well-formed extension block is rejected with
+// the error the per-package decoders wrap.
 func TestDecRejectsBadPreamble(t *testing.T) {
-	for _, in := range [][]byte{nil, {Magic}, {0x42, V1, 0}, {Magic, 0x7f, 0}} {
-		if err := NewDec(in).Err(); err == nil {
-			t.Fatalf("preamble %v: want error", in)
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		want error
+	}{
+		{"empty", nil, ErrNotCodec},
+		{"magic only", []byte{Magic}, ErrNotCodec},
+		{"gob length prefix", []byte{0x42, Version, 0}, ErrNotCodec},
+		{"retired version 1", []byte{Magic, 0x01, 0}, ErrBadVersion},
+		{"unknown version", []byte{Magic, 0x7f, 0}, ErrBadVersion},
+		{"missing ext-len", []byte{Magic, Version}, ErrTruncated},
+		{"ext-len overruns frame", []byte{Magic, Version, 9, 1, 'a'}, ErrTruncated},
+		{"ext fields overrun ext-len", []byte{Magic, Version, 2, 5, 'a', 'b', 'c', 'd', 'e', 0, 0, 0}, ErrTruncated},
+	} {
+		if err := NewDec(tc.in).Err(); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestExtRoundTrip: the extension block survives with and without a stamp,
+// and a block longer than the known fields is skipped, not rejected.
+func TestExtRoundTrip(t *testing.T) {
+	if d := NewDec(AppendPreambleExt(nil, nil)); d.Err() != nil || d.Ext() != nil || d.Len() != 0 {
+		t.Fatalf("stampless preamble: err=%v ext=%v left=%d", d.Err(), d.Ext(), d.Len())
+	}
+	ext := &Ext{From: obs.EventRef{Node: "d01", Seq: 42}, HLC: obs.HLC{Wall: -7, Logical: 3}}
+	b := AppendPreambleExt(nil, ext)
+	d := NewDec(b)
+	if d.Err() != nil || d.Ext() == nil || *d.Ext() != *ext || d.Len() != 0 {
+		t.Fatalf("stamped preamble: err=%v ext=%v left=%d", d.Err(), d.Ext(), d.Len())
+	}
+	// A later sender appends a field to the block: ext-len grows by one.
+	grown := append([]byte{Magic, Version, b[2] + 1}, b[3:]...)
+	grown = append(grown, 0x55)
+	d = NewDec(AppendUvarint(grown, 9))
+	if d.Ext() == nil || *d.Ext() != *ext || d.Uvarint() != 9 || d.Close() != nil {
+		t.Fatalf("grown ext block: err=%v ext=%v", d.Err(), d.Ext())
 	}
 }
 
@@ -96,7 +135,7 @@ func TestDecRejectsBadPreamble(t *testing.T) {
 // cleanly (no panic, ErrTruncated or a tag error) rather than fabricating
 // values.
 func TestDecTruncation(t *testing.T) {
-	b := AppendPreamble(nil)
+	b := AppendPreambleExt(nil, nil)
 	b = AppendUvarint(b, 300)
 	b = AppendBytes(b, bytes.Repeat([]byte{7}, 40))
 	b = AppendString(b, "hello")
@@ -116,7 +155,7 @@ func TestDecTruncation(t *testing.T) {
 // TestDecHostileCount pins that a corrupt count cannot force a giant
 // allocation: counts are bounded by the remaining input.
 func TestDecHostileCount(t *testing.T) {
-	b := AppendPreamble(nil)
+	b := AppendPreambleExt(nil, nil)
 	b = AppendUvarint(b, 1<<40) // claims ~1e12 elements
 	d := NewDec(b)
 	if got := d.Strings(); got != nil {
@@ -128,7 +167,7 @@ func TestDecHostileCount(t *testing.T) {
 }
 
 func TestDecTrailing(t *testing.T) {
-	b := AppendPreamble(nil)
+	b := AppendPreambleExt(nil, nil)
 	b = AppendUvarint(b, 7)
 	b = append(b, 0xff)
 	d := NewDec(b)
@@ -148,7 +187,7 @@ func TestKGAMessageRoundTrip(t *testing.T) {
 		{Proto: "ckd", Type: -1, From: "x", Body: nil},
 	}
 	for i, m := range msgs {
-		b := AppendKGAMessage(AppendPreamble(nil), m)
+		b := AppendKGAMessage(AppendPreambleExt(nil, nil), m)
 		d := NewDec(b)
 		got := d.KGAMessage()
 		if err := d.Close(); err != nil {
@@ -157,15 +196,6 @@ func TestKGAMessageRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, m) {
 			t.Fatalf("msg %d: got %#v want %#v", i, got, m)
 		}
-	}
-}
-
-func TestIsCodecVsGob(t *testing.T) {
-	if IsCodec([]byte{0x70, 0x7f}) { // gob streams start with a nonzero length
-		t.Fatal("gob prefix classified as codec")
-	}
-	if !IsCodec(AppendPreamble(nil)) {
-		t.Fatal("preamble not classified as codec")
 	}
 }
 
