@@ -7,17 +7,19 @@ SWEEP_FLAGS ?= -sizes 2..8 -batch 3
 # baseline uses the default.
 BULK_COUNT ?= 20000
 
-.PHONY: check vet no-gob build test race chaos chaos-tcp chaos-tcp-short bench-exp \
-	bench-obs bench-rekey bench-report bench-diff bench-wire bench-wire-diff \
-	bench-bulk bench-bulk-diff obs-smoke mon-smoke crit-smoke
+.PHONY: check vet no-gob build test tree-clean race chaos chaos-tcp chaos-tcp-short \
+	bench-exp bench-exp-diff bench-obs bench-rekey bench-report bench-diff \
+	bench-wire bench-wire-diff bench-bulk bench-bulk-diff obs-smoke mon-smoke crit-smoke
 
 ## check: the full local gate — vet, the one-wire-format guard (no-gob),
-## build, tests, the race suite on the packages with
-## concurrency-sensitive fast paths, a short chaos schedule
-## replayed over real TCP sockets, the causal-order gate, and the
-## regression gates against the checked-in baselines (rekey latency, the
-## data-plane wire sweep, and bulk throughput).
-check: vet no-gob build test race chaos-tcp-short crit-smoke bench-diff bench-wire-diff bench-bulk-diff
+## build, tests (which must leave the checked-in baselines untouched),
+## the race suite on the packages with concurrency-sensitive fast paths, a
+## short chaos schedule replayed over real TCP sockets, the causal-order
+## gate, and the regression gates against the checked-in baselines (rekey
+## latency, the data-plane wire sweep, bulk throughput, and the
+## exponentiation/Seal/Open fast paths).
+check: vet no-gob build test tree-clean race chaos-tcp-short crit-smoke \
+	bench-diff bench-wire-diff bench-bulk-diff bench-exp-diff
 
 vet:
 	$(GO) vet ./...
@@ -32,6 +34,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+## tree-clean: fails if anything (a test, a bench target run by mistake)
+## rewrote a checked-in baseline.
+tree-clean:
+	git diff --exit-code -- 'BENCH_*.json'
 
 race:
 	$(GO) test -race ./internal/dh ./internal/cliques ./internal/crypt \
@@ -56,10 +63,26 @@ chaos-tcp:
 chaos-tcp-short:
 	$(GO) test -timeout 120s -count=1 ./internal/chaos -run TestChaosTCPShort
 
+## bench-gate: every bench-*-diff target — rerun the sweep ($(2) are the
+## sgcbench flags, of which the last takes the output file) into a
+## temporary file and gate it against the checked-in baseline $(1) with
+## `sgctrace diff`, which exits nonzero when a tracked metric regressed.
+define bench-gate
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/sgcbench $(2) $$tmp >/dev/null && \
+	$(GO) run ./cmd/sgctrace diff $(1) $$tmp; \
+	st=$$?; rm -f $$tmp; exit $$st
+endef
+
 ## bench-exp: regenerate BENCH_exp.json (fixed-base speedup, batch-pool
 ## scaling, Seal/Open cost).
 bench-exp:
-	$(GO) test -run TestWriteBenchExpJSON -v .
+	$(GO) run ./cmd/sgcbench -exp -exp-out BENCH_exp.json
+
+## bench-exp-diff: the fast-path regression gate — times by a generous
+## ratio with a nanosecond floor, Seal/Open allocation counts exactly.
+bench-exp-diff:
+	$(call bench-gate,BENCH_exp.json,-exp -exp-out)
 
 ## bench-obs: regenerate BENCH_obs.json (per-class rekey-latency and
 ## flush-round histograms from a deterministic chaos run).
@@ -79,10 +102,7 @@ bench-report:
 ## the checked-in baseline; exits nonzero when a tracked metric regressed
 ## (exponentiation counts exactly, timings by ratio with a noise floor).
 bench-diff:
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/sgcbench $(SWEEP_FLAGS) -rekey-out $$tmp >/dev/null && \
-	$(GO) run ./cmd/sgctrace diff BENCH_rekey.json $$tmp; \
-	st=$$?; rm -f $$tmp; exit $$st
+	$(call bench-gate,BENCH_rekey.json,$(SWEEP_FLAGS) -rekey-out)
 
 ## bench-wire: regenerate the checked-in BENCH_wire.json baseline (wire
 ## codec microbench per kind — frame bytes, encode and decode time — plus
@@ -96,10 +116,7 @@ bench-wire:
 ## nanoseconds and end-to-end latency by a generous ratio with noise
 ## floors.
 bench-wire-diff:
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/sgcbench -wire -wire-out $$tmp >/dev/null && \
-	$(GO) run ./cmd/sgctrace diff BENCH_wire.json $$tmp; \
-	st=$$?; rm -f $$tmp; exit $$st
+	$(call bench-gate,BENCH_wire.json,-wire -wire-out)
 
 ## bench-bulk: regenerate the checked-in BENCH_throughput.json baseline
 ## (sustained encrypted AGREED multicast rate over message sizes, cipher
@@ -112,10 +129,7 @@ bench-bulk:
 ## delivery rate collapses below baseline/ratio (throughput gates
 ## downward, unlike the timing gates).
 bench-bulk-diff:
-	@tmp=$$(mktemp); \
-	$(GO) run ./cmd/sgcbench -bulk -bulk-count $(BULK_COUNT) -bulk-out $$tmp >/dev/null && \
-	$(GO) run ./cmd/sgctrace diff BENCH_throughput.json $$tmp; \
-	st=$$?; rm -f $$tmp; exit $$st
+	$(call bench-gate,BENCH_throughput.json,-bulk -bulk-count $(BULK_COUNT) -bulk-out)
 
 ## crit-smoke: the causal-order gate — the happens-before checker's unit
 ## suite plus pinned chaos schedules replayed in-memory, with host clocks

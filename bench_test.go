@@ -11,15 +11,15 @@ package repro
 import (
 	"fmt"
 	"math/big"
-	"runtime"
+	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
 	_ "repro/internal/ckd"
 	_ "repro/internal/cliques"
 	"repro/internal/crypt"
 	"repro/internal/dh"
+	"repro/internal/obs/analyze"
 	"repro/securespread"
 )
 
@@ -281,84 +281,24 @@ func BenchmarkSealOpen(b *testing.B) {
 	}
 }
 
-// TestWriteBenchExpJSON records the exponentiation fast-path performance —
-// fixed-base speedup, batch-pool scaling, and Seal/Open cost — to
-// BENCH_exp.json so the perf trajectory is tracked in-repo.
-func TestWriteBenchExpJSON(t *testing.T) {
+// TestBenchExpReport smoke-tests the measurement behind BENCH_exp.json
+// (`make bench-exp` records it through `sgcbench -exp`): the report
+// writes, and flattens to rows the `sgctrace diff` gate can compare.
+func TestBenchExpReport(t *testing.T) {
 	if testing.Short() {
-		t.Skip("skipping perf recording in -short mode")
+		t.Skip("skipping perf measurement in -short mode")
 	}
-	rep := bench.ExpReport{GOMAXPROCS: runtime.GOMAXPROCS(0)}
-
-	for _, bits := range []int{512, 1024} {
-		g, err := dh.GroupForBits(bits)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep.PowG = append(rep.PowG, bench.MeasurePowG(g, 40))
-	}
-
-	g1024, err := dh.GroupForBits(1024)
+	rep, err := bench.MeasureExp()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.Batch = bench.MeasureExpBatch(g1024, 16, 10, []int{1, 2, 4, 8})
-
-	secret := []byte("benchmark-group-secret-material!")
-	for _, suite := range []string{"aes-cbc", "aes-ctr"} {
-		s, err := crypt.NewSuite(suite, secret, []byte("bench"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := make([]byte, 1024)
-		sealAllocs := testing.AllocsPerRun(200, func() {
-			if _, err := s.Seal(msg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		frame, err := s.Seal(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		openAllocs := testing.AllocsPerRun(200, func() {
-			if _, err := s.Open(frame); err != nil {
-				t.Fatal(err)
-			}
-		})
-		const iters = 2000
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := s.Seal(msg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sealNs := time.Since(start).Nanoseconds() / iters
-		start = time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := s.Open(frame); err != nil {
-				t.Fatal(err)
-			}
-		}
-		openNs := time.Since(start).Nanoseconds() / iters
-
-		rep.SealOpen = append(rep.SealOpen, bench.SealOpenPoint{
-			Suite:      suite,
-			Size:       len(msg),
-			SealNs:     sealNs,
-			OpenNs:     openNs,
-			SealAllocs: sealAllocs,
-			OpenAllocs: openAllocs,
-		})
-	}
-
-	if err := bench.WriteJSON("BENCH_exp.json", rep); err != nil {
+	path := filepath.Join(t.TempDir(), "BENCH_exp.json")
+	if err := bench.WriteJSON(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range rep.PowG {
-		t.Logf("PowG %d-bit: generic %v, fixed %v (%.2fx)", p.Bits, p.Generic, p.Fixed, p.Speedup)
-	}
-	for _, p := range rep.Batch {
-		t.Logf("ExpBatch n=%d workers=%d: %v (%.2fx)", p.N, p.Workers, p.Total, p.Scaling)
+	rows, err := analyze.LoadRows(path)
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("report flattened to %d rows, err %v", len(rows), err)
 	}
 }
 

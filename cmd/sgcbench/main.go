@@ -14,6 +14,7 @@
 //	sgcbench -sizes 2..8                   # rekey phase-decomposition sweep
 //	sgcbench -wire                         # Figure 5: wire codec + latency/size
 //	sgcbench -bulk                         # Figure 4: bulk AGREED throughput
+//	sgcbench -exp                          # exponentiation + Seal/Open fast paths
 //
 // The chaos mode replays a seeded fault schedule against a live cluster and
 // checks the five global invariants (see internal/chaos); it exits nonzero
@@ -36,6 +37,10 @@
 // best of several runs per point — the paper's claim that once the key is
 // agreed, bulk data privacy is cheap. It writes BENCH_throughput.json —
 // the input of the `sgctrace diff` throughput gate (`make bench-bulk-diff`).
+//
+// The exp mode times the exponentiation fast paths (fixed-base PowG, the
+// ExpBatch pool) and Seal/Open, and writes BENCH_exp.json (`make
+// bench-exp`, gated by `make bench-exp-diff`).
 package main
 
 import (
@@ -88,6 +93,8 @@ func main() {
 	bulkMode := flag.Bool("bulk", false, "bulk-throughput sweep: sustained AGREED multicast rate over message sizes, suites and group sizes")
 	bulkOut := flag.String("bulk-out", "BENCH_throughput.json", "bulk mode: write the throughput report here (empty disables)")
 	bulkCount := flag.Int("bulk-count", 20000, "bulk mode: messages per sweep point")
+	expMode := flag.Bool("exp", false, "time the exponentiation fast paths and Seal/Open")
+	expOut := flag.String("exp-out", "BENCH_exp.json", "exp mode: write the report here (empty disables)")
 	flag.Parse()
 
 	exp := *experiment
@@ -97,27 +104,33 @@ func main() {
 	if *sizesSpec != "" {
 		exp = "sweep"
 	}
-	if *wireMode {
-		exp = "wire"
+	var err error
+	switch {
+	case *wireMode || exp == "wire":
+		err = wireExperiment(*wireOut, *wireCount)
+	case *bulkMode:
+		err = bulkExperiment(*bulkOut, *bulkCount)
+	case *expMode:
+		err = expExperiment(*expOut)
+	default:
+		err = run(exp, *nmax, *step, *batch, *bits, *seed, *events, *proto, *obsOut, *sizesSpec, *rekeyOut)
 	}
-	if exp == "wire" {
-		if err := wireExperiment(*wireOut, *wireCount); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *bulkMode {
-		if err := bulkExperiment(*bulkOut, *bulkCount); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(exp, *nmax, *step, *batch, *bits, *seed, *events, *proto, *obsOut, *sizesSpec, *rekeyOut); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+}
+
+// writeReport writes a BENCH_*.json report; an empty path disables it.
+func writeReport(path string, v any) error {
+	if path == "" {
+		return nil
+	}
+	if err := bench.WriteJSON(path, v); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return nil
 }
 
 func run(experiment string, nmax, step, batch, bits int, seed uint64, events int, proto, obsOut, sizesSpec, rekeyOut string) error {
@@ -188,11 +201,8 @@ func chaosExperiment(seed uint64, events int, proto, obsOut string) error {
 		fmt.Printf("final epoch %d, %d warnings\n\n", res.FinalEpoch, res.Warnings)
 		report.Protocols[p] = summarizeObs(res, cryptBefore)
 	}
-	if obsOut != "" {
-		if err := bench.WriteJSON(obsOut, report); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", obsOut)
+	if err := writeReport(obsOut, report); err != nil {
+		return err
 	}
 	if failed {
 		return fmt.Errorf("chaos: invariant violations at seed %d (deterministic: rerun with -chaos -seed %d)", seed, seed)
@@ -230,13 +240,7 @@ func sweepExperiment(sizesSpec string, batch int, proto, rekeyOut string) error 
 		fmt.Println()
 		out.Protocols[p] = &analyze.ProtoBench{Phases: res.Summaries, Exps: res.Exps}
 	}
-	if rekeyOut != "" {
-		if err := bench.WriteJSON(rekeyOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", rekeyOut)
-	}
-	return nil
+	return writeReport(rekeyOut, out)
 }
 
 // wireExperiment runs the data-plane sweep behind BENCH_wire.json: the
@@ -263,22 +267,13 @@ func wireExperiment(wireOut string, count int) error {
 		return fmt.Errorf("wire latency sweep: %w", err)
 	}
 	fmt.Fprintln(tw, "size\tp50\tmean\tmax")
+	out.Latency = lats
 	for _, l := range lats {
-		out.Latency = append(out.Latency, analyze.WireLatencyPoint{
-			Suite: l.Suite, Size: l.Size, Count: l.Count,
-			P50Ms: l.P50Ms, MeanMs: l.MeanMs, MaxMs: l.MaxMs,
-		})
 		fmt.Fprintf(tw, "%dB\t%.2fms\t%.2fms\t%.2fms\n", l.Size, l.P50Ms, l.MeanMs, l.MaxMs)
 	}
 	tw.Flush()
 
-	if wireOut != "" {
-		if err := bench.WriteJSON(wireOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", wireOut)
-	}
-	return nil
+	return writeReport(wireOut, out)
 }
 
 // bulkExperiment runs the bulk-throughput sweep behind
@@ -292,27 +287,36 @@ func bulkExperiment(bulkOut string, count int) error {
 	if err != nil {
 		return err
 	}
-	out := analyze.ThroughputBench{}
+	out := analyze.ThroughputBench{Points: results}
 	tw := newTab()
 	fmt.Fprintln(tw, "proto\tsuite\tmembers\tsize\tmsgs/s\tMB/s")
 	for _, r := range results {
-		out.Points = append(out.Points, analyze.ThroughputPoint{
-			Proto: r.Proto, Suite: r.Suite, Members: r.Members,
-			MsgSize: r.MsgSize, Count: r.Count,
-			MsgsPerSec: r.MsgsPerSec, MBPerSec: r.MBPerSec,
-		})
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%dB\t%.0f\t%.2f\n",
 			r.Proto, r.Suite, r.Members, r.MsgSize, r.MsgsPerSec, r.MBPerSec)
 	}
 	tw.Flush()
 
-	if bulkOut != "" {
-		if err := bench.WriteJSON(bulkOut, out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", bulkOut)
+	return writeReport(bulkOut, out)
+}
+
+// expExperiment records the exponentiation fast-path performance behind
+// BENCH_exp.json: fixed-base speedup, batch-pool scaling, Seal/Open cost.
+func expExperiment(expOut string) error {
+	rep, err := bench.MeasureExp()
+	if err != nil {
+		return err
 	}
-	return nil
+	for _, p := range rep.PowG {
+		fmt.Printf("PowG %d-bit: generic %v, fixed %v (%.2fx)\n", p.Bits, p.Generic, p.Fixed, p.Speedup)
+	}
+	for _, p := range rep.Batch {
+		fmt.Printf("ExpBatch n=%d workers=%d: %v (%.2fx)\n", p.N, p.Workers, p.Total, p.Scaling)
+	}
+	for _, p := range rep.SealOpen {
+		fmt.Printf("%s %dB: seal %dns (%.0f allocs), open %dns (%.0f allocs)\n",
+			p.Suite, p.Size, p.SealNs, p.SealAllocs, p.OpenNs, p.OpenAllocs)
+	}
+	return writeReport(expOut, rep)
 }
 
 // obsReport is the BENCH_obs.json schema: per-protocol rekey latency

@@ -51,7 +51,7 @@ func main() {
 	}
 	_ = fs.Parse(os.Args[1:])
 
-	targets, err := parseTargets(fs.Args())
+	targets, err := obs.ParseEndpoints(fs.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sgcmon:", err)
 		os.Exit(2)
@@ -62,14 +62,14 @@ func main() {
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, t := range targets {
-		mon.addNode(t.name, t.addr)
+		mon.addNode(t.Name, t.Addr)
 		wg.Add(1)
 		go func(name, url string) {
 			defer wg.Done()
 			for m := range stream.Subscribe(ctx, url, stream.SubOptions{Group: *group}) {
 				mon.apply(name, m)
 			}
-		}(t.name, t.addr)
+		}(t.Name, t.Addr)
 	}
 
 	render := func() *FleetView {
@@ -100,23 +100,6 @@ func main() {
 	for range tick.C {
 		render()
 	}
-}
-
-type target struct{ name, addr string }
-
-func parseTargets(args []string) ([]target, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("no endpoints; expected name=http://host:port arguments")
-	}
-	out := make([]target, 0, len(args))
-	for _, a := range args {
-		name, addr, ok := strings.Cut(a, "=")
-		if !ok || name == "" || addr == "" {
-			return nil, fmt.Errorf("bad endpoint %q (want name=http://host:port)", a)
-		}
-		out = append(out, target{name: name, addr: strings.TrimRight(addr, "/")})
-	}
-	return out, nil
 }
 
 // ---- aggregation ----

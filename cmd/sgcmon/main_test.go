@@ -212,19 +212,6 @@ func TestWindowPruning(t *testing.T) {
 	}
 }
 
-func TestParseTargets(t *testing.T) {
-	got, err := parseTargets([]string{"d1=http://a:1", "d2=http://b:2/"})
-	if err != nil || len(got) != 2 || got[1].addr != "http://b:2" {
-		t.Fatalf("parseTargets = %+v, %v", got, err)
-	}
-	if _, err := parseTargets(nil); err == nil {
-		t.Fatal("no targets must error")
-	}
-	if _, err := parseTargets([]string{"bogus"}); err == nil {
-		t.Fatal("malformed target must error")
-	}
-}
-
 func TestWireKind(t *testing.T) {
 	if got := wireKind("spread_wire_sent_msgs{data}"); got != "data" {
 		t.Fatalf("wireKind = %q", got)

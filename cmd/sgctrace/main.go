@@ -7,7 +7,7 @@
 //
 //	sgctrace collect -out bundle.json [-group G] d01=http://host:port ...
 //	sgctrace report [-json] [-group G] [-stall 2s] FILE|BUNDLE_DIR
-//	sgctrace diff [-ratio 10] [-floor 50] [-count-tol 0] OLD.json NEW.json
+//	sgctrace diff [-ratio R] [-floor F] [-count-tol 0] OLD.json NEW.json
 //
 // collect fetches /trace and /metrics from each named debug endpoint
 // (spreadd -debug-addr) into one snapshot bundle; an unreachable node is
@@ -16,11 +16,11 @@
 // inside and prints the trigger reason and alerts), a raw /trace payload
 // (or bare event array), or a BENCH_rekey.json sweep file, and prints the
 // per-class/per-size phase decomposition, the correlated rekeys, and any
-// anomalies. diff compares two bench files of
-// the same kind — BENCH_rekey.json rekey sweeps or BENCH_wire.json wire
-// sweeps — and exits nonzero when a tracked metric regressed: deterministic
-// counts (exponentiations, encoded frame sizes) exactly, timings by a
-// generous ratio with noise floors.
+// anomalies. diff compares two bench files of the same kind (BENCH_rekey,
+// BENCH_wire, BENCH_throughput or BENCH_exp) and exits nonzero when a
+// tracked metric regressed: deterministic counts (exponentiations, encoded
+// frame sizes, allocations) exactly, timings and rates by a generous ratio
+// with noise floors (see analyze.Diff for the gates and their defaults).
 package main
 
 import (
@@ -77,30 +77,10 @@ func usage() {
   sgctrace collect -out bundle.json [-group G] name=http://addr ...
   sgctrace report [-json] [-group G] [-stall 2s] FILE|BUNDLE_DIR
   sgctrace crit [-json] [-group G] FILE|BUNDLE_DIR
-  sgctrace diff [-ratio 10] [-floor 50] [-count-tol 0] OLD.json NEW.json`)
+  sgctrace diff [-ratio R] [-floor F] [-count-tol 0] OLD.json NEW.json`)
 }
 
 // ---- collect ----
-
-type target struct {
-	name string
-	addr string
-}
-
-func parseTargets(args []string) ([]target, error) {
-	if len(args) == 0 {
-		return nil, fmt.Errorf("collect: no endpoints; expected name=http://host:port arguments")
-	}
-	out := make([]target, 0, len(args))
-	for _, a := range args {
-		name, addr, ok := strings.Cut(a, "=")
-		if !ok || name == "" || addr == "" {
-			return nil, fmt.Errorf("collect: bad endpoint %q (want name=http://host:port)", a)
-		}
-		out = append(out, target{name: name, addr: strings.TrimRight(addr, "/")})
-	}
-	return out, nil
-}
 
 func cmdCollect(args []string) error {
 	fs := flag.NewFlagSet("collect", flag.ContinueOnError)
@@ -110,9 +90,9 @@ func cmdCollect(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	targets, err := parseTargets(fs.Args())
+	targets, err := obs.ParseEndpoints(fs.Args())
 	if err != nil {
-		return err
+		return fmt.Errorf("collect: %w", err)
 	}
 	cl := &http.Client{Timeout: *timeout}
 	b := collect(cl, targets, *group)
@@ -144,13 +124,13 @@ func cmdCollect(args []string) error {
 // collect scrapes every target's /metrics and /trace into one bundle. A
 // node that fails either fetch is kept with Healthy=false and the error —
 // partial clusters (a crashed daemon mid-experiment) must still collect.
-func collect(cl *http.Client, targets []target, group string) *analyze.Bundle {
+func collect(cl *http.Client, targets []obs.Endpoint, group string) *analyze.Bundle {
 	b := &analyze.Bundle{CollectedAt: time.Now(), Group: group}
 	for _, t := range targets {
-		ns := analyze.NodeSnapshot{Node: t.name, Addr: t.addr}
+		ns := analyze.NodeSnapshot{Node: t.Name, Addr: t.Addr}
 
 		var mp obs.MetricsPayload
-		if err := fetchJSON(cl, t.addr+"/metrics", &mp); err != nil {
+		if err := fetchJSON(cl, t.Addr+"/metrics", &mp); err != nil {
 			ns.Error = err.Error()
 		} else {
 			ns.Metrics, ns.Process = mp.Metrics, mp.Process
@@ -159,7 +139,7 @@ func collect(cl *http.Client, targets []target, group string) *analyze.Bundle {
 			}
 
 			var tp obs.TracePayload
-			traceURL := t.addr + "/trace"
+			traceURL := t.Addr + "/trace"
 			if group != "" {
 				traceURL += "?group=" + group
 			}
@@ -327,47 +307,26 @@ func loadInput(path string) (*input, error) {
 
 func cmdDiff(args []string, w io.Writer) ([]analyze.Regression, error) {
 	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	ratio := fs.Float64("ratio", analyze.DefaultTimeRatio, "timing regression threshold (new > old*ratio fails)")
-	floor := fs.Float64("floor", analyze.DefaultTimeFloorMs, "ignore timing growth below this many ms (negative disables)")
-	countTol := fs.Int("count-tol", 0, "allowed exponentiation-count growth")
+	ratio := fs.Float64("ratio", 0, "regression ratio for every timing and rate metric (0: each gate's default, x10 for times, /3 for rates)")
+	floor := fs.Float64("floor", 0, "ignore changes below this, in the metric's unit (0: each gate's default, 50 ms / 2000 ns / 500 msgs/s; negative disables)")
+	countTol := fs.Int("count-tol", 0, "allowed growth of a deterministic count")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if fs.NArg() != 2 {
 		return nil, fmt.Errorf("diff: want OLD.json NEW.json")
 	}
-	return diffFiles(w, fs.Arg(0), fs.Arg(1), analyze.DiffOptions{
-		TimeRatio: *ratio, TimeFloorMs: *floor, CountTolerance: *countTol,
-	})
-}
-
-func diffFiles(w io.Writer, oldPath, newPath string, opt analyze.DiffOptions) ([]analyze.Regression, error) {
-	oldB, err := loadBench(oldPath)
+	oldPath, newPath := fs.Arg(0), fs.Arg(1)
+	oldRows, err := analyze.LoadRows(oldPath)
 	if err != nil {
 		return nil, err
 	}
-	newB, err := loadBench(newPath)
+	newRows, err := analyze.LoadRows(newPath)
 	if err != nil {
 		return nil, err
 	}
-	var regs []analyze.Regression
-	switch {
-	case oldB.rekey != nil && newB.rekey != nil:
-		regs = analyze.DiffBench(oldB.rekey, newB.rekey, opt)
-	case oldB.wire != nil && newB.wire != nil:
-		regs = analyze.DiffWireBench(oldB.wire, newB.wire, opt)
-	case oldB.throughput != nil && newB.throughput != nil:
-		// Throughput regresses downward; the diff divides by the ratio and
-		// ignores -floor/-count-tol. The flag default is the timing ratio,
-		// which is too lax for rates — treat it as unset so the throughput
-		// default applies; an explicit -ratio still wins.
-		if opt.TimeRatio == analyze.DefaultTimeRatio {
-			opt.TimeRatio = 0
-		}
-		regs = analyze.DiffThroughputBench(oldB.throughput, newB.throughput, opt)
-	default:
-		return nil, fmt.Errorf("diff: %s and %s are different bench kinds", oldPath, newPath)
-	}
+	regs := analyze.Diff(oldRows, newRows, analyze.DiffOptions{
+		Ratio: *ratio, Floor: *floor, CountTolerance: *countTol})
 	if len(regs) == 0 {
 		fmt.Fprintf(w, "ok: no regressions (%s vs %s)\n", newPath, oldPath)
 		return nil, nil
@@ -402,16 +361,7 @@ func cmdCrit(args []string) error {
 	if in.bench != nil {
 		return fmt.Errorf("crit: %s is a bench sweep, not a trace", fs.Arg(0))
 	}
-	events := in.events
-	if *group != "" {
-		kept := events[:0:0]
-		for _, e := range events {
-			if e.Group == "" || e.Group == *group {
-				kept = append(kept, e)
-			}
-		}
-		events = kept
-	}
+	events := obs.FilterGroup(in.events, *group)
 	paths := analyze.CriticalPaths(events)
 	violations := causal.Check(events)
 	if *jsonOut {
@@ -440,45 +390,4 @@ func cmdCrit(args []string) error {
 		return fmt.Errorf("crit: %d causal-order violation(s)", len(violations))
 	}
 	return nil
-}
-
-// benchFile is any sweep schema the diff gate accepts: the rekey
-// phase-decomposition file, the data-plane wire file, or the bulk
-// throughput file.
-type benchFile struct {
-	rekey      *analyze.RekeyBench
-	wire       *analyze.WireBench
-	throughput *analyze.ThroughputBench
-}
-
-func loadBench(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var probe map[string]json.RawMessage
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	switch {
-	case probe["protocols"] != nil:
-		var b analyze.RekeyBench
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &benchFile{rekey: &b}, nil
-	case probe["codec"] != nil || probe["latency"] != nil:
-		var b analyze.WireBench
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &benchFile{wire: &b}, nil
-	case probe["throughput"] != nil:
-		var b analyze.ThroughputBench
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &benchFile{throughput: &b}, nil
-	}
-	return nil, fmt.Errorf("%s: not a BENCH_rekey.json, BENCH_wire.json or BENCH_throughput.json sweep file", path)
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -67,10 +69,10 @@ func TestCollectAgainstFakeDaemons(t *testing.T) {
 	dead.Close() // now refuses connections
 
 	cl := &http.Client{Timeout: 2 * time.Second}
-	b := collect(cl, []target{
-		{name: "d1", addr: d1.URL},
-		{name: "d2", addr: d2.URL},
-		{name: "d3", addr: dead.URL},
+	b := collect(cl, []obs.Endpoint{
+		{Name: "d1", Addr: d1.URL},
+		{Name: "d2", Addr: d2.URL},
+		{Name: "d3", Addr: dead.URL},
 	}, "chat")
 
 	if got := b.Healthy(); got != 2 {
@@ -137,25 +139,9 @@ func TestCollectAllUnreachable(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	cl := &http.Client{Timeout: time.Second}
-	b := collect(cl, []target{{name: "d1", addr: dead.URL}}, "")
+	b := collect(cl, []obs.Endpoint{{Name: "d1", Addr: dead.URL}}, "")
 	if b.Healthy() != 0 || len(b.Nodes) != 1 || b.Nodes[0].Error == "" {
 		t.Fatalf("bundle = %+v", b)
-	}
-}
-
-func TestParseTargets(t *testing.T) {
-	if _, err := parseTargets(nil); err == nil {
-		t.Error("empty target list accepted")
-	}
-	if _, err := parseTargets([]string{"http://x"}); err == nil {
-		t.Error("nameless target accepted")
-	}
-	ts, err := parseTargets([]string{"d1=http://x:1/", "d2=http://y:2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ts[0].addr != "http://x:1" || ts[1].name != "d2" {
-		t.Errorf("parsed targets = %+v", ts)
 	}
 }
 
@@ -191,136 +177,55 @@ func writeBench(t *testing.T, name string, b *analyze.RekeyBench) string {
 	return path
 }
 
-// TestDiffRegressionGate pins the gate semantics: identical files pass, an
-// injected order-of-magnitude timing regression or any exponentiation-count
-// growth fails.
-func TestDiffRegressionGate(t *testing.T) {
-	base := writeBench(t, "old.json", benchFixture(20, 12))
-
-	var out strings.Builder
-	regs, err := diffFiles(&out, base, writeBench(t, "same.json", benchFixture(20, 12)), analyze.DiffOptions{})
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("identical files: regs=%v err=%v\n%s", regs, err, out.String())
+// TestDiffFiles drives `sgctrace diff` over real files (the gate
+// semantics themselves are pinned row by row in analyze.TestDiff): each
+// bench kind loads and gates, and explicit flags reach every gate.
+func TestDiffFiles(t *testing.T) {
+	write := func(name, body string) string {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
 	}
-
-	// 20ms -> 900ms trips both the x10 ratio and the 50ms absolute floor.
-	out.Reset()
-	regs, err = diffFiles(&out, base, writeBench(t, "slow.json", benchFixture(900, 12)), analyze.DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
+	rate := func(v int) string {
+		return fmt.Sprintf(`{"throughput":[{"proto":"cliques","suite":"blowfish-cbc","members":2,"msg_size":256,"msgs_per_sec":%d}]}`, v)
 	}
-	if len(regs) == 0 || !strings.Contains(out.String(), "REGRESSION rekey/cliques/join/n4/total_p50_ms") {
-		t.Fatalf("timing regression not caught: regs=%v\n%s", regs, out.String())
+	wire := func(bytes, encNs int) string {
+		return fmt.Sprintf(`{"codec":[{"kind":"data","codec_bytes":%d,"codec_encode_ns":%d}],"latency":[]}`, bytes, encNs)
 	}
-
-	// One extra serial exponentiation fails exactly, even with calm timings.
-	out.Reset()
-	regs, err = diffFiles(&out, base, writeBench(t, "exps.json", benchFixture(20, 13)), analyze.DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
+	rekey := writeBench(t, "rekey.json", benchFixture(20, 12))
+	for _, c := range []struct {
+		name     string
+		args     []string
+		old, new string
+		want     string // substring of the one expected regression; "" = passes
+	}{
+		{"rekey identical", nil, rekey, rekey, ""},
+		{"rekey count +1", nil, rekey, writeBench(t, "exps.json", benchFixture(20, 13)), "exp/cliques/n4/join_serial"},
+		{"wire bytes +1", nil, write("w0.json", wire(20, 100)), write("w1.json", wire(21, 100)), "wire/data/codec_bytes"},
+		{"rate halved passes at the default /3", nil, write("r0.json", rate(60000)), write("r1.json", rate(30000)), ""},
+		{"rate collapse", nil, write("r0.json", rate(60000)), write("r1.json", rate(9000)), "throughput/cliques/blowfish-cbc/m2/size256/msgs_per_sec"},
+		// At the parent commit an explicit -ratio 10 on a throughput file was
+		// taken for the flag default and replaced by 3.
+		{"explicit -ratio 10 tolerates /4", []string{"-ratio", "10"}, write("r0.json", rate(60000)), write("r1.json", rate(15000)), ""},
+		{"explicit -ratio 1.5 catches /2", []string{"-ratio", "1.5"}, write("r0.json", rate(60000)), write("r1.json", rate(30000)), "msgs_per_sec"},
+		// ... and -floor never reached nanosecond rows.
+		{"ns growth under the default floor", nil, write("w0.json", wire(20, 100)), write("w1.json", wire(20, 1900)), ""},
+		{"explicit -floor reaches ns rows", []string{"-floor", "1000"}, write("w0.json", wire(20, 100)), write("w1.json", wire(20, 1900)), "wire/data/codec_encode_ns"},
+		{"different kinds share no metric", nil, rekey, write("r0.json", rate(60000)), "coverage/comparable_metrics"},
+	} {
+		var out strings.Builder
+		regs, err := cmdDiff(append(c.args, c.old, c.new), &out)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if c.want == "" && len(regs) != 0 || c.want != "" && (len(regs) != 1 || !strings.Contains(regs[0].Metric, c.want)) {
+			t.Errorf("%s: regressions %v, want %q\n%s", c.name, regs, c.want, out.String())
+		}
 	}
-	if len(regs) != 1 || !strings.Contains(out.String(), "exp/cliques/n4/join_serial") {
-		t.Fatalf("count regression not caught: regs=%v\n%s", regs, out.String())
-	}
-
-	// Growth past the ratio but below the absolute floor is jitter on a
-	// tiny baseline (4ms -> 45ms), not a regression.
-	tiny := writeBench(t, "tiny.json", benchFixture(4, 12))
-	out.Reset()
-	regs, err = diffFiles(&out, tiny, writeBench(t, "jitter.json", benchFixture(45, 12)), analyze.DiffOptions{})
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("sub-floor jitter flagged: regs=%v err=%v\n%s", regs, err, out.String())
-	}
-
-	// Files sharing no cells at all must fail the gate, not silently pass.
-	empty := writeBench(t, "empty.json", &analyze.RekeyBench{
-		Protocols: map[string]*analyze.ProtoBench{},
-	})
-	out.Reset()
-	regs, err = diffFiles(&out, base, empty, analyze.DiffOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "coverage/comparable_metrics" {
-		t.Fatalf("empty comparison passed: %v", regs)
-	}
-}
-
-func writeThroughputBench(t *testing.T, name string, msgsPerSec float64) string {
-	t.Helper()
-	b := &analyze.ThroughputBench{Points: []analyze.ThroughputPoint{{
-		Proto: "cliques", Suite: "blowfish-cbc", Members: 2,
-		MsgSize: 256, Count: 20000, MsgsPerSec: msgsPerSec,
-		MBPerSec: msgsPerSec * 256 / (1 << 20),
-	}}}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestDiffThroughputGate pins the throughput gate's inverted direction: a
-// rate collapse fails, a rate gain or ratio-tolerated dip passes, and a
-// sweep sharing no cells fails on coverage.
-func TestDiffThroughputGate(t *testing.T) {
-	// The flag default ratio stands in for "user did not pass -ratio"; the
-	// throughput gate must swap in its own tighter default (3x).
-	defOpt := analyze.DiffOptions{TimeRatio: analyze.DefaultTimeRatio,
-		TimeFloorMs: analyze.DefaultTimeFloorMs}
-	base := writeThroughputBench(t, "old.json", 60000)
-
-	var out strings.Builder
-	regs, err := diffFiles(&out, base, writeThroughputBench(t, "faster.json", 90000), defOpt)
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("faster run flagged: regs=%v err=%v\n%s", regs, err, out.String())
-	}
-
-	// Half the rate is within the 3x tolerance (shared machines are noisy).
-	out.Reset()
-	regs, err = diffFiles(&out, base, writeThroughputBench(t, "dip.json", 30000), defOpt)
-	if err != nil || len(regs) != 0 {
-		t.Fatalf("tolerated dip flagged: regs=%v err=%v\n%s", regs, err, out.String())
-	}
-
-	// A collapse below old/3 fails.
-	out.Reset()
-	regs, err = diffFiles(&out, base, writeThroughputBench(t, "collapse.json", 9000), defOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || !strings.Contains(out.String(),
-		"REGRESSION throughput/cliques/blowfish-cbc/m2/size256/msgs_per_sec") {
-		t.Fatalf("collapse not caught: regs=%v\n%s", regs, out.String())
-	}
-
-	// An explicit tighter -ratio wins over the default.
-	out.Reset()
-	regs, err = diffFiles(&out, base, writeThroughputBench(t, "dip2.json", 30000),
-		analyze.DiffOptions{TimeRatio: 1.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 {
-		t.Fatalf("explicit ratio ignored: regs=%v\n%s", regs, out.String())
-	}
-
-	// No shared cells: the gate fails on coverage, never silently passes.
-	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"throughput": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	regs, err = diffFiles(&out, base, empty, defOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regs) != 1 || regs[0].Metric != "coverage/comparable_metrics" {
-		t.Fatalf("empty comparison passed: %v", regs)
+	if _, err := cmdDiff([]string{rekey, write("junk.json", `{"x":1}`)}, io.Discard); err == nil {
+		t.Error("unrecognized file accepted")
 	}
 }
 

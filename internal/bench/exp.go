@@ -5,60 +5,19 @@ import (
 	"fmt"
 	"math/big"
 	"os"
+	"runtime"
+	"testing"
 	"time"
 
+	"repro/internal/crypt"
 	"repro/internal/dh"
+	"repro/internal/obs/analyze"
 )
-
-// ExpReport is the recorded performance of the exponentiation fast paths:
-// fixed-base PowG vs. the generic modular exponentiation, the scaling of
-// the ExpBatch worker pool, and the Seal/Open fast path. It is written to
-// BENCH_exp.json so the performance trajectory of the hot path is recorded
-// alongside the paper-table regenerations.
-type ExpReport struct {
-	// GOMAXPROCS records the parallelism available when measuring.
-	GOMAXPROCS int
-	PowG       []PowGPoint
-	Batch      []BatchPoint
-	SealOpen   []SealOpenPoint
-}
-
-// PowGPoint compares one group's generic exponentiation against the
-// fixed-base comb table.
-type PowGPoint struct {
-	Bits    int
-	Generic time.Duration // one G^exp via big.Int.Exp
-	Fixed   time.Duration // one G^exp via the comb table
-	Speedup float64
-}
-
-// BatchPoint is the measured cost of one ExpBatch of N exponentiations at
-// a given pool width.
-type BatchPoint struct {
-	Bits    int
-	N       int
-	Workers int
-	Total   time.Duration
-	// Scaling is serial-time / this-time: ideal is min(Workers, N).
-	Scaling float64
-}
-
-// SealOpenPoint records one cipher suite's seal+open cost. Allocations are
-// measured by the benchmark layer (testing.AllocsPerRun) and filled in by
-// the caller.
-type SealOpenPoint struct {
-	Suite      string
-	Size       int
-	SealNs     int64
-	OpenNs     int64
-	SealAllocs float64
-	OpenAllocs float64
-}
 
 // MeasurePowG times generic vs. fixed-base exponentiation of the group
 // generator over iters random shares.
-func MeasurePowG(g *dh.Group, iters int) PowGPoint {
-	p := PowGPoint{Bits: g.Bits}
+func MeasurePowG(g *dh.Group, iters int) analyze.PowGPoint {
+	p := analyze.PowGPoint{Bits: g.Bits}
 	xs := make([]*big.Int, iters)
 	for i := range xs {
 		xs[i] = g.MustShare()
@@ -86,14 +45,14 @@ func MeasurePowG(g *dh.Group, iters int) PowGPoint {
 // MeasureExpBatch times an n-entry ExpBatch at each pool width, averaged
 // over iters rounds. Scaling is reported relative to the first width in
 // workers (conventionally 1, the serial baseline).
-func MeasureExpBatch(g *dh.Group, n, iters int, workers []int) []BatchPoint {
+func MeasureExpBatch(g *dh.Group, n, iters int, workers []int) []analyze.BatchPoint {
 	bases := make(map[string]*big.Int, n)
 	for i := 0; i < n; i++ {
 		bases[fmt.Sprintf("m%02d", i)] = g.PowG(g.MustShare(), nil, "")
 	}
 	exp := g.MustShare()
 
-	var out []BatchPoint
+	var out []analyze.BatchPoint
 	var baseline time.Duration
 	for _, w := range workers {
 		prev := dh.SetBatchWorkers(w)
@@ -104,7 +63,7 @@ func MeasureExpBatch(g *dh.Group, n, iters int, workers []int) []BatchPoint {
 		total := time.Since(start) / time.Duration(iters)
 		dh.SetBatchWorkers(prev)
 
-		p := BatchPoint{Bits: g.Bits, N: n, Workers: w, Total: total}
+		p := analyze.BatchPoint{Bits: g.Bits, N: n, Workers: w, Total: total}
 		if baseline == 0 {
 			baseline = total
 		}
@@ -114,6 +73,56 @@ func MeasureExpBatch(g *dh.Group, n, iters int, workers []int) []BatchPoint {
 		out = append(out, p)
 	}
 	return out
+}
+
+// measureSealOpen times one cipher suite's Seal and Open of a size-byte
+// message over iters rounds each, and counts their allocations.
+func measureSealOpen(suite string, size, iters int) (analyze.SealOpenPoint, error) {
+	p := analyze.SealOpenPoint{Suite: suite, Size: size}
+	s, err := crypt.NewSuite(suite, []byte("benchmark-group-secret-material!"), []byte("bench"))
+	if err != nil {
+		return p, err
+	}
+	measure := func(op func()) (int64, float64) {
+		allocs := testing.AllocsPerRun(200, op)
+		start := time.Now()
+		for i := 0; i < iters; i++ {
+			op()
+		}
+		return time.Since(start).Nanoseconds() / int64(iters), allocs
+	}
+	msg := make([]byte, size)
+	var frame []byte
+	p.SealNs, p.SealAllocs = measure(func() { frame, err = s.Seal(msg) })
+	if err != nil {
+		return p, err
+	}
+	p.OpenNs, p.OpenAllocs = measure(func() { _, err = s.Open(frame) })
+	return p, err
+}
+
+// MeasureExp produces the BENCH_exp.json report: fixed-base speedup at 512
+// and 1024 bits, batch-pool scaling at 1024 bits, Seal/Open cost at 1 KiB.
+func MeasureExp() (*analyze.ExpReport, error) {
+	rep := &analyze.ExpReport{GOMAXPROCS: runtime.GOMAXPROCS(0)}
+	for _, bits := range []int{512, 1024} {
+		g, err := dh.GroupForBits(bits)
+		if err != nil {
+			return nil, err
+		}
+		rep.PowG = append(rep.PowG, MeasurePowG(g, 40))
+		if bits == 1024 {
+			rep.Batch = MeasureExpBatch(g, 16, 10, []int{1, 2, 4, 8})
+		}
+	}
+	for _, suite := range []string{crypt.SuiteAES, crypt.SuiteAESCTR} {
+		p, err := measureSealOpen(suite, 1024, 2000)
+		if err != nil {
+			return nil, err
+		}
+		rep.SealOpen = append(rep.SealOpen, p)
+	}
+	return rep, nil
 }
 
 // WriteJSON writes v as indented JSON to path.

@@ -6,23 +6,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/obs/analyze"
 	"repro/securespread"
 )
-
-// Throughput is a bulk-data measurement point: sustained encrypted AGREED
-// multicast throughput from one member to a secured group over the full
-// stack — isolating the cost of data privacy (the paper's Figure 4 claim:
-// once the key is agreed, data privacy is cheap).
-type Throughput struct {
-	Proto      string
-	Suite      string
-	Members    int
-	MsgSize    int
-	Count      int
-	Elapsed    time.Duration
-	MsgsPerSec float64
-	MBPerSec   float64
-}
 
 // waitSecured consumes a session's events until a secure view with n
 // members arrives.
@@ -42,17 +28,18 @@ func waitSecured(s *securespread.Session, n int, timeout time.Duration) error {
 
 // MeasureBulk multicasts count messages of msgSize bytes from one member
 // of a secured members-sized group (one session per daemon) and reports
-// the sustained rate. Every member's event stream — including the
+// the sustained rate (a BENCH_throughput.json cell: the cost of data
+// privacy once the key is agreed, the paper's Figure 4 claim). Every member's event stream — including the
 // sender's own, since AGREED multicast loops back — is drained
 // concurrently and the clock stops when the last member has received
 // everything, so the measured rate is end-to-end delivery, not submit.
-func MeasureBulk(proto, suite string, members, msgSize, count int) (Throughput, error) {
+func MeasureBulk(proto, suite string, members, msgSize, count int) (analyze.ThroughputPoint, error) {
 	if members < 2 {
-		return Throughput{}, fmt.Errorf("bench: group size %d, want >= 2", members)
+		return analyze.ThroughputPoint{}, fmt.Errorf("bench: group size %d, want >= 2", members)
 	}
 	cluster, err := securespread.NewLocalClusterConfig(members, benchConfig())
 	if err != nil {
-		return Throughput{}, err
+		return analyze.ThroughputPoint{}, err
 	}
 	defer cluster.Stop()
 
@@ -61,16 +48,16 @@ func MeasureBulk(proto, suite string, members, msgSize, count int) (Throughput, 
 	for i := range sessions {
 		s, err := securespread.Connect(cluster.Daemons[i], fmt.Sprintf("m%d", i))
 		if err != nil {
-			return Throughput{}, err
+			return analyze.ThroughputPoint{}, err
 		}
 		sessions[i] = s
 		if err := s.JoinWith(group, proto, suite); err != nil {
-			return Throughput{}, err
+			return analyze.ThroughputPoint{}, err
 		}
 	}
 	for _, s := range sessions {
 		if err := waitSecured(s, members, 30*time.Second); err != nil {
-			return Throughput{}, err
+			return analyze.ThroughputPoint{}, err
 		}
 	}
 
@@ -142,7 +129,7 @@ func MeasureBulk(proto, suite string, members, msgSize, count int) (Throughput, 
 			time.Sleep(20 * time.Microsecond)
 		}
 		if err := sender.Multicast(group, payload); err != nil {
-			return Throughput{}, err
+			return analyze.ThroughputPoint{}, err
 		}
 	}
 	var firstErr error
@@ -152,15 +139,11 @@ func MeasureBulk(proto, suite string, members, msgSize, count int) (Throughput, 
 		}
 	}
 	if firstErr != nil {
-		return Throughput{}, firstErr
+		return analyze.ThroughputPoint{}, firstErr
 	}
-	elapsed := time.Since(start)
-
-	out := Throughput{
-		Proto: proto, Suite: suite, Members: members,
-		MsgSize: msgSize, Count: count, Elapsed: elapsed,
-	}
-	secs := elapsed.Seconds()
+	out := analyze.ThroughputPoint{Proto: proto, Suite: suite, Members: members,
+		MsgSize: msgSize, Count: count}
+	secs := time.Since(start).Seconds()
 	if secs > 0 {
 		out.MsgsPerSec = float64(count) / secs
 		out.MBPerSec = float64(count*msgSize) / secs / (1 << 20)
@@ -205,10 +188,10 @@ var errBulk = errors.New("bench: bulk sweep failed")
 const BulkReps = 3
 
 // RunBulkSweep measures every point of the sweep, best of BulkReps runs.
-func RunBulkSweep(points []BulkPoint) ([]Throughput, error) {
-	out := make([]Throughput, 0, len(points))
+func RunBulkSweep(points []BulkPoint) ([]analyze.ThroughputPoint, error) {
+	out := make([]analyze.ThroughputPoint, 0, len(points))
 	for _, p := range points {
-		var best Throughput
+		var best analyze.ThroughputPoint
 		for r := 0; r < BulkReps; r++ {
 			tp, err := MeasureBulk(p.Proto, p.Suite, p.Members, p.MsgSize, p.Count)
 			if err != nil {

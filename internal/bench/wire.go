@@ -5,26 +5,17 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/obs/analyze"
 	"repro/securespread"
 )
 
-// WireLatency is one data point of the message-latency-vs-size sweep (the
-// paper's Figure 5 shape): end-to-end latency of an encrypted multicast
-// from send at one member to delivery at another, through the full stack —
-// seal, wire encode, transport, decode, open, VS delivery.
-type WireLatency struct {
-	Suite  string
-	Size   int
-	Count  int
-	P50Ms  float64
-	MeanMs float64
-	MaxMs  float64
-}
-
 // MeasureWireLatencySweep boots one 2-member secure group and measures
-// per-message delivery latency at each payload size: messages go out one
-// at a time (latency, not throughput — MeasureBulk covers rates).
-func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]WireLatency, error) {
+// per-message delivery latency at each payload size (the paper's Figure 5
+// shape): from send at one member to delivery at the other through the
+// full stack — seal, wire encode, transport, decode, open, VS delivery.
+// Messages go out one at a time (latency, not throughput — MeasureBulk
+// covers rates).
+func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]analyze.WireLatencyPoint, error) {
 	cluster, err := securespread.NewLocalClusterConfig(2, benchConfig())
 	if err != nil {
 		return nil, err
@@ -51,7 +42,7 @@ func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]WireLatenc
 		}
 	}
 
-	var out []WireLatency
+	var out []analyze.WireLatencyPoint
 	for _, size := range sizes {
 		payload := make([]byte, size)
 		for i := range payload {
@@ -80,8 +71,8 @@ func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]WireLatenc
 	return out, nil
 }
 
-func summarizeLatency(suite string, size int, lat []float64) WireLatency {
-	p := WireLatency{Suite: suite, Size: size, Count: len(lat)}
+func summarizeLatency(suite string, size int, lat []float64) analyze.WireLatencyPoint {
+	p := analyze.WireLatencyPoint{Suite: suite, Size: size, Count: len(lat)}
 	if len(lat) == 0 {
 		return p
 	}

@@ -109,7 +109,7 @@ type Member struct {
 	trace func(kind, detail string)
 	// causal, when set (kga.CausalSetter), stamps encoded bodies with
 	// HLCs and records happens-before edges for received ones.
-	causal kga.Causal
+	causal *kga.Causal
 }
 
 type pending struct {

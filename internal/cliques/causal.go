@@ -5,10 +5,9 @@ import (
 	"repro/internal/wirecodec"
 )
 
-// Causal tracing of Cliques protocol bodies. Every encoded body carries
-// the sender's HLC and a reference to a recorded "wire-send" event in the
-// frame's versioned extension (internal/wirecodec); decoding merges the
-// clock and records "wire-recv" with the causal parent edge. The MACs are
+// Causal tracing of Cliques protocol bodies: every encoded body carries
+// the engine's causal stamp (wirecodec.KGASendExt) in the frame's
+// extension block and decoding records the receive edge. The MACs are
 // computed over canon() forms, never over encodings, so the extension
 // cannot break authentication.
 
@@ -35,29 +34,19 @@ func msgTypeName(t int) string {
 }
 
 // SetCausal implements kga.CausalSetter.
-func (m *Member) SetCausal(c kga.Causal) { m.causal = c }
+func (m *Member) SetCausal(c *kga.Causal) { m.causal = c }
 
-// encBody encodes a protocol body of the given message type, stamping it
-// with a causal-tracing extension when a hook is attached.
+// encBody encodes a protocol body of the given message type with the
+// engine's causal stamp.
 func (m *Member) encBody(t int, v any) ([]byte, error) {
-	var ext *wirecodec.Ext
-	if m.causal != nil {
-		from, h := m.causal.StampSend("kind=" + msgTypeName(t))
-		ext = &wirecodec.Ext{From: from, HLC: h}
-	}
-	return encodeBody(v, ext)
+	return encodeBody(v, wirecodec.KGASendExt(m.causal, msgTypeName(t)))
 }
 
-// decBody decodes a received protocol body and, when the frame carries an
-// extension, merges the sender's clock and records the causal edge.
+// decBody decodes a received protocol body and records its causal edge.
 func (m *Member) decBody(msg kga.Message, v any) error {
 	ext, err := decodeBody(msg.Body, v)
-	if err != nil {
-		return err
+	if err == nil {
+		ext.ObserveKGA(m.causal, msgTypeName(msg.Type), msg.From)
 	}
-	if ext != nil && m.causal != nil {
-		m.causal.ObserveRecv(ext.From, ext.HLC,
-			"kind="+msgTypeName(msg.Type)+" from="+msg.From)
-	}
-	return nil
+	return err
 }

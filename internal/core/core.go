@@ -325,8 +325,8 @@ func (c *Conn) Join(group, protoName, suiteName string) error {
 		}
 		// Engines whose wire bodies carry HLC extensions get a causal
 		// hook under the protocol's component name.
-		if cs, ok := proto.(kga.CausalSetter); ok && c.obs != nil && c.obs.Rec != nil {
-			cs.SetCausal(&obsCausal{sc: c.obs, comp: protoName, group: group})
+		if cs, ok := proto.(kga.CausalSetter); ok {
+			cs.SetCausal(&kga.Causal{Scope: c.obs, Event: obs.Event{Comp: protoName, Group: group}})
 		}
 		g.proto = proto
 		c.groups[group] = g
@@ -591,7 +591,7 @@ func (c *Conn) dispatch(ev flush.Event) {
 			c.warn(e.Group, err)
 			return
 		}
-		c.observeEnvExt(e.Sender, e.Group, env.Kind, ext)
+		ext.Observe(c.obs, envEvent(e.Group, env.Kind), e.Sender)
 		if g, ok := c.groups[e.Group]; ok {
 			g.onEnvelope(e.Sender, env)
 		}

@@ -218,7 +218,7 @@ func (f *Conn) FlushOK(group string) error {
 	f.mu.Unlock()
 
 	enc, err := encodeMsg(&flushMsg{Kind: wireFlushOK, View: id},
-		f.wireSendExt("flush-ok", group, idStr))
+		f.wireSendExt("kind=flush-ok", group, idStr))
 	if err != nil {
 		return err
 	}
@@ -262,19 +262,13 @@ func (f *Conn) sealSend(group string, svc spread.Service, data []byte) ([]byte, 
 	idStr := g.currentStr
 	f.mu.Unlock()
 	return encodeMsg(&flushMsg{Kind: wireData, View: id, Service: svc, Data: data},
-		f.wireSendExt("data", group, idStr))
+		f.wireSendExt("kind=data", group, idStr))
 }
 
-// wireSendExt records a flush-layer wire-send trace event and returns
-// the causal extension to stamp the outgoing frame with. Nil when the
-// connection has no observability scope.
-func (f *Conn) wireSendExt(kind, group, view string) *wirecodec.Ext {
-	if f.obs == nil || f.obs.Rec == nil {
-		return nil
-	}
-	ev := f.obs.Record(obs.Event{Comp: "flush", Kind: "wire-send",
-		Group: group, View: view, Detail: "kind=" + kind})
-	return &wirecodec.Ext{From: ev.Ref(), HLC: ev.HLC}
+// wireSendExt records a flush-layer wire-send trace event with the given
+// detail and returns the causal extension for the outgoing frame.
+func (f *Conn) wireSendExt(detail, group, view string) *wirecodec.Ext {
+	return wirecodec.SendExt(f.obs, obs.Event{Comp: "flush", Group: group, View: view, Detail: detail})
 }
 
 // CurrentView returns the installed VS view for the group, or false.
@@ -353,24 +347,13 @@ func (f *Conn) onData(e spread.DataEvent) {
 	if err != nil {
 		return // not a flush-layer frame: drop
 	}
-	var parent *obs.EventRef
-	if ext != nil {
-		f.obs.Observe(ext.HLC)
-		if ext.From.Seq != 0 {
-			ref := ext.From
-			parent = &ref
-		}
-	}
 	switch m.Kind {
 	case wireFlushOK:
-		if parent != nil {
-			f.obs.Record(obs.Event{Comp: "flush", Kind: "wire-recv", Parent: parent,
-				Group: e.Group, View: fmt.Sprintf("%v", m.View),
-				Detail: "kind=flush-ok from=" + e.Sender})
-		}
+		ext.Observe(f.obs, obs.Event{Comp: "flush", Group: e.Group,
+			View: fmt.Sprintf("%v", m.View), Detail: "kind=flush-ok"}, e.Sender)
 		f.onFlushOK(e, m)
 	case wireData:
-		f.onAppData(e, m, parent)
+		f.onAppData(e, m, ext.Merge(f.obs))
 	}
 }
 

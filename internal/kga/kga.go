@@ -180,17 +180,14 @@ type TraceSetter interface {
 	SetTrace(func(kind, detail string))
 }
 
-// Causal is the hook protocol engines use to stamp their wire bodies with
-// hybrid logical clocks and to record happens-before edges for received
-// bodies. StampSend records a "wire-send" trace event and returns its
-// reference plus the sender's HLC at that instant — both travel in the
-// frame's versioned extension. ObserveRecv merges the sender's clock and
-// records a "wire-recv" event whose causal parent is the send event.
-// Implementations must be safe against zero-value arguments (a frame from
-// an older build carries no extension).
-type Causal interface {
-	StampSend(detail string) (obs.EventRef, obs.HLC)
-	ObserveRecv(from obs.EventRef, h obs.HLC, detail string)
+// Causal is the hook protocol engines stamp their wire bodies through: the
+// trace scope, and the template (Comp/Group/View) of the "wire-send" and
+// "wire-recv" events that carry each body's happens-before edge.
+// wirecodec.KGASendExt and (*wirecodec.Ext).ObserveKGA apply it at the
+// engines' encode and decode sites.
+type Causal struct {
+	Scope *obs.Scope
+	Event obs.Event
 }
 
 // CausalSetter is optionally implemented by protocol engines whose wire
@@ -198,7 +195,7 @@ type Causal interface {
 // hook after construction, like TraceSetter. Engines must tolerate a nil
 // hook.
 type CausalSetter interface {
-	SetCausal(Causal)
+	SetCausal(*Causal)
 }
 
 // Factory builds a Protocol instance for a member. Counter may be nil.

@@ -17,6 +17,7 @@ package analyze
 
 import (
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -302,21 +303,7 @@ func rekeyKey(n *NodeRekey) string {
 	if n.View != "" {
 		return n.Group + "|view|" + n.View
 	}
-	return n.Group + "|epoch|" + itoa(n.KeyEpoch)
-}
-
-func itoa(v uint64) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
+	return n.Group + "|epoch|" + strconv.FormatUint(n.KeyEpoch, 10)
 }
 
 func groupRekeys(done, incomplete []*NodeRekey) []*Rekey {

@@ -3,6 +3,7 @@ package analyze
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -72,7 +73,7 @@ func (o Options) withDefaults() Options {
 // unterminated rekeys, stalled key agreement machines, and key-epoch
 // divergence between view peers.
 func DetectAnomalies(events []obs.Event, opt Options) []Anomaly {
-	return detectAnomalies(correlate(filterGroup(events, opt.Group)), opt)
+	return detectAnomalies(correlate(obs.FilterGroup(events, opt.Group)), opt)
 }
 
 func detectAnomalies(c *correlation, opt Options) []Anomaly {
@@ -152,19 +153,8 @@ func detectAnomalies(c *correlation, opt Options) []Anomaly {
 				parts = append(parts, fmt.Sprintf("epoch %d: %v", e, epochs[e]))
 			}
 			out = append(out, Anomaly{Kind: AnomalyEpochDivergence, Group: g, View: view,
-				Detail: fmt.Sprintf("view peers disagree on key epoch (%s)", joinParts(parts))})
+				Detail: fmt.Sprintf("view peers disagree on key epoch (%s)", strings.Join(parts, "; "))})
 		}
 	}
 	return out
-}
-
-func joinParts(parts []string) string {
-	s := ""
-	for i, p := range parts {
-		if i > 0 {
-			s += "; "
-		}
-		s += p
-	}
-	return s
 }

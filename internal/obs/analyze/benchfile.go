@@ -35,126 +35,33 @@ type ExpRow struct {
 	CtrlLeaveSerial int `json:"ctrl_leave_serial"`
 }
 
-// DiffOptions tunes the regression gate.
-type DiffOptions struct {
-	// TimeRatio flags a timing metric whose new value exceeds
-	// old*TimeRatio (<= 0 uses DefaultTimeRatio). Timings are wall-clock
-	// and noisy; the ratio is deliberately generous — it catches
-	// order-of-magnitude regressions, not jitter.
-	TimeRatio float64
-	// TimeFloorMs ignores timing regressions whose absolute growth is
-	// below this (machine noise on sub-millisecond values; < 0 disables,
-	// 0 uses DefaultTimeFloorMs).
-	TimeFloorMs float64
-	// CountTolerance is the allowed growth of a deterministic
-	// exponentiation count. The default 0 fails on any increase:
-	// exponentiation counts are exact protocol properties.
-	CountTolerance int
-}
-
-// Default diff thresholds.
-const (
-	DefaultTimeRatio   = 10.0
-	DefaultTimeFloorMs = 50.0
-)
-
-func (o DiffOptions) withDefaults() DiffOptions {
-	if o.TimeRatio <= 0 {
-		o.TimeRatio = DefaultTimeRatio
-	}
-	if o.TimeFloorMs == 0 {
-		o.TimeFloorMs = DefaultTimeFloorMs
-	}
-	return o
-}
-
-// Regression is one tracked metric that got worse.
-type Regression struct {
-	Metric string  `json:"metric"`
-	Old    float64 `json:"old"`
-	New    float64 `json:"new"`
-	Limit  float64 `json:"limit"`
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("REGRESSION %s: %.3g -> %.3g (limit %.3g)", r.Metric, r.Old, r.New, r.Limit)
-}
-
-// DiffBench compares two sweep files and returns every tracked metric
-// that regressed: deterministic exponentiation counts exactly, phase
-// timings by ratio. Only cells present in both files are compared; if the
-// files share no cells at all, that is itself reported (the sweep broke).
-func DiffBench(oldB, newB *RekeyBench, opt DiffOptions) []Regression {
-	opt = opt.withDefaults()
-	var out []Regression
-	compared := 0
-
-	timing := func(metric string, oldV, newV float64) {
-		if oldV <= 0 {
-			return // phase not observed in the baseline: nothing to gate
-		}
-		compared++
-		limit := oldV * opt.TimeRatio
-		if newV > limit && (opt.TimeFloorMs < 0 || newV-oldV > opt.TimeFloorMs) {
-			out = append(out, Regression{Metric: metric, Old: oldV, New: newV, Limit: limit})
-		}
-	}
-	count := func(metric string, oldV, newV int) {
-		compared++
-		limit := oldV + opt.CountTolerance
-		if newV > limit {
-			out = append(out, Regression{Metric: metric,
-				Old: float64(oldV), New: float64(newV), Limit: float64(limit)})
-		}
-	}
-
-	protos := make([]string, 0, len(oldB.Protocols))
-	for p := range oldB.Protocols {
-		if newB.Protocols[p] != nil {
-			protos = append(protos, p)
-		}
+// Rows flattens the sweep: phase timings gate as milliseconds, the
+// deterministic exponentiation counts exactly.
+func (b *RekeyBench) Rows() []Row {
+	protos := make([]string, 0, len(b.Protocols))
+	for p := range b.Protocols {
+		protos = append(protos, p)
 	}
 	sort.Strings(protos)
+	var out []Row
 	for _, p := range protos {
-		o, n := oldB.Protocols[p], newB.Protocols[p]
-
-		newPhases := make(map[string]ClassSummary, len(n.Phases))
-		for _, s := range n.Phases {
-			newPhases[fmt.Sprintf("%s/n%d", s.Class, s.Size)] = s
+		for _, s := range b.Protocols[p].Phases {
+			pfx := fmt.Sprintf("rekey/%s/%s/n%d", p, s.Class, s.Size)
+			out = append(out,
+				Row{pfx + "/total_p50_ms", s.TotalP50Ms, GateMs},
+				Row{pfx + "/mean_total_ms", s.Mean.TotalMs, GateMs},
+				Row{pfx + "/mean_flush_ms", s.Mean.FlushMs, GateMs},
+				Row{pfx + "/mean_kga_ms", s.Mean.KGAMs, GateMs})
 		}
-		for _, s := range o.Phases {
-			key := fmt.Sprintf("%s/n%d", s.Class, s.Size)
-			ns, ok := newPhases[key]
-			if !ok {
-				continue
-			}
-			pfx := "rekey/" + p + "/" + key
-			timing(pfx+"/total_p50_ms", s.TotalP50Ms, ns.TotalP50Ms)
-			timing(pfx+"/mean_total_ms", s.Mean.TotalMs, ns.Mean.TotalMs)
-			timing(pfx+"/mean_flush_ms", s.Mean.FlushMs, ns.Mean.FlushMs)
-			timing(pfx+"/mean_kga_ms", s.Mean.KGAMs, ns.Mean.KGAMs)
-		}
-
-		newExps := make(map[int]ExpRow, len(n.Exps))
-		for _, e := range n.Exps {
-			newExps[e.N] = e
-		}
-		for _, e := range o.Exps {
-			ne, ok := newExps[e.N]
-			if !ok {
-				continue
-			}
+		for _, e := range b.Protocols[p].Exps {
 			pfx := fmt.Sprintf("exp/%s/n%d", p, e.N)
-			count(pfx+"/join_controller", e.JoinController, ne.JoinController)
-			count(pfx+"/join_new_member", e.JoinNewMember, ne.JoinNewMember)
-			count(pfx+"/join_serial", e.JoinSerial, ne.JoinSerial)
-			count(pfx+"/leave_serial", e.LeaveSerial, ne.LeaveSerial)
-			count(pfx+"/ctrl_leave_serial", e.CtrlLeaveSerial, ne.CtrlLeaveSerial)
+			out = append(out,
+				Row{pfx + "/join_controller", float64(e.JoinController), GateCount},
+				Row{pfx + "/join_new_member", float64(e.JoinNewMember), GateCount},
+				Row{pfx + "/join_serial", float64(e.JoinSerial), GateCount},
+				Row{pfx + "/leave_serial", float64(e.LeaveSerial), GateCount},
+				Row{pfx + "/ctrl_leave_serial", float64(e.CtrlLeaveSerial), GateCount})
 		}
-	}
-
-	if compared == 0 {
-		out = append(out, Regression{Metric: "coverage/comparable_metrics", Old: 1, New: 0, Limit: 1})
 	}
 	return out
 }

@@ -61,24 +61,13 @@ func CriticalPaths(events []obs.Event) []*CritPath {
 		}
 		g := graphs[r.Group]
 		if g == nil {
-			g = causal.Build(groupEvents(merged, r.Group))
+			// The group's own events plus the group-less transport layer,
+			// which carries the flush round.
+			g = causal.Build(obs.FilterGroup(merged, r.Group))
 			graphs[r.Group] = g
 		}
 		if p := criticalPath(g, r); p != nil {
 			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// groupEvents filters a merged trace to one group's rekey machinery: the
-// group's own events plus the group-less transport layer (spread wire
-// and membership events), which carries the flush round.
-func groupEvents(merged []obs.Event, group string) []obs.Event {
-	var out []obs.Event
-	for _, e := range merged {
-		if e.Group == "" || e.Group == group {
-			out = append(out, e)
 		}
 	}
 	return out

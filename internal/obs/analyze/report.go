@@ -22,7 +22,7 @@ type Report struct {
 // Analyze correlates, summarizes, and anomaly-checks a causal trace in one
 // pass, and runs the happens-before checker over it.
 func Analyze(events []obs.Event, opt Options) *Report {
-	filtered := filterGroup(events, opt.Group)
+	filtered := obs.FilterGroup(events, opt.Group)
 	c := correlate(filtered)
 	return &Report{
 		Rekeys:    c.rekeys,
@@ -30,19 +30,6 @@ func Analyze(events []obs.Event, opt Options) *Report {
 		Anomalies: detectAnomalies(c, opt),
 		Causal:    causal.Check(filtered),
 	}
-}
-
-func filterGroup(events []obs.Event, group string) []obs.Event {
-	if group == "" {
-		return events
-	}
-	out := make([]obs.Event, 0, len(events))
-	for _, e := range events {
-		if e.Group == "" || e.Group == group {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 func fmtMs(v float64) string {

@@ -23,59 +23,13 @@ type ThroughputPoint struct {
 	MBPerSec   float64 `json:"mb_per_sec"`
 }
 
-func (p ThroughputPoint) key() string {
-	return fmt.Sprintf("%s/%s/m%d/size%d", p.Proto, p.Suite, p.Members, p.MsgSize)
-}
-
-// Throughput-diff thresholds. Unlike every other gated metric, throughput
-// regresses DOWNWARD: the gate fires when the new rate falls below
-// old/ThroughputRatio. The ratio is generous for the same reason the
-// timing ratios are — rates are wall-clock measurements on shared
-// machines — and the absolute floor ignores regressions on cells too slow
-// for the ratio to be meaningful.
-const (
-	DefaultThroughputRatio = 3.0
-	DefaultThroughputFloor = 500.0 // msgs/sec
-)
-
-// DiffThroughputBench compares two BENCH_throughput.json files and returns
-// every sweep cell whose delivery rate collapsed: new < old/TimeRatio
-// (TimeRatio doubles as the throughput ratio; <= 0 uses
-// DefaultThroughputRatio) with an absolute msgs/sec floor so noise on tiny
-// rates never fires. Cells present only on one side are skipped; if no
-// cell is comparable at all, that is itself a failure (the sweep broke).
-func DiffThroughputBench(oldB, newB *ThroughputBench, opt DiffOptions) []Regression {
-	ratio := opt.TimeRatio
-	if ratio <= 0 {
-		ratio = DefaultThroughputRatio
-	}
-	var out []Regression
-	compared := 0
-
-	newPts := make(map[string]ThroughputPoint, len(newB.Points))
-	for _, p := range newB.Points {
-		newPts[p.key()] = p
-	}
-	for _, o := range oldB.Points {
-		if o.MsgsPerSec <= 0 {
-			continue // cell not measured in the baseline: nothing to gate
-		}
-		n, ok := newPts[o.key()]
-		if !ok {
-			continue
-		}
-		compared++
-		limit := o.MsgsPerSec / ratio
-		if n.MsgsPerSec < limit && o.MsgsPerSec-n.MsgsPerSec > DefaultThroughputFloor {
-			out = append(out, Regression{
-				Metric: "throughput/" + o.key() + "/msgs_per_sec",
-				Old:    o.MsgsPerSec, New: n.MsgsPerSec, Limit: limit,
-			})
-		}
-	}
-
-	if compared == 0 {
-		out = append(out, Regression{Metric: "coverage/comparable_metrics", Old: 1, New: 0, Limit: 1})
+// Rows flattens the sweep to one rate row per cell. Unlike every other
+// gated metric, throughput regresses downward (GateRate).
+func (b *ThroughputBench) Rows() []Row {
+	out := make([]Row, 0, len(b.Points))
+	for _, p := range b.Points {
+		out = append(out, Row{fmt.Sprintf("throughput/%s/%s/m%d/size%d/msgs_per_sec",
+			p.Proto, p.Suite, p.Members, p.MsgSize), p.MsgsPerSec, GateRate})
 	}
 	return out
 }

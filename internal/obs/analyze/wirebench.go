@@ -31,82 +31,23 @@ type WireLatencyPoint struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// Wire-diff thresholds: encoded sizes are deterministic codec properties
-// and gate exactly (like exponentiation counts); encode/decode
-// nanoseconds are machine-dependent, so they gate by the generous
-// TimeRatio plus an absolute nanosecond floor that ignores sub-microsecond
-// jitter on the hand-rolled paths.
-const DefaultWireNsFloor = 2000.0
-
-// DiffWireBench compares two BENCH_wire.json files: per-kind encoded
-// sizes exactly (CountTolerance growth allowed), codec encode/decode
-// timings by TimeRatio with the nanosecond floor, and the end-to-end
-// latency sweep by TimeRatio with the millisecond floor.
-func DiffWireBench(oldB, newB *WireBench, opt DiffOptions) []Regression {
-	opt = opt.withDefaults()
-	var out []Regression
-	compared := 0
-
-	ns := func(metric string, oldV, newV float64) {
-		if oldV <= 0 {
-			return
-		}
-		compared++
-		limit := oldV * opt.TimeRatio
-		if newV > limit && newV-oldV > DefaultWireNsFloor {
-			out = append(out, Regression{Metric: metric, Old: oldV, New: newV, Limit: limit})
-		}
+// Rows flattens the sweep: encoded sizes are deterministic codec
+// properties and gate exactly (like exponentiation counts),
+// encode/decode costs as nanoseconds, end-to-end latency as milliseconds.
+func (b *WireBench) Rows() []Row {
+	var out []Row
+	for _, p := range b.Codec {
+		pfx := "wire/" + p.Kind
+		out = append(out,
+			Row{pfx + "/codec_bytes", float64(p.CodecBytes), GateCount},
+			Row{pfx + "/codec_encode_ns", p.CodecEncNs, GateNs},
+			Row{pfx + "/codec_decode_ns", p.CodecDecNs, GateNs})
 	}
-	ms := func(metric string, oldV, newV float64) {
-		if oldV <= 0 {
-			return
-		}
-		compared++
-		limit := oldV * opt.TimeRatio
-		if newV > limit && (opt.TimeFloorMs < 0 || newV-oldV > opt.TimeFloorMs) {
-			out = append(out, Regression{Metric: metric, Old: oldV, New: newV, Limit: limit})
-		}
-	}
-	size := func(metric string, oldV, newV int) {
-		compared++
-		limit := oldV + opt.CountTolerance
-		if newV > limit {
-			out = append(out, Regression{Metric: metric,
-				Old: float64(oldV), New: float64(newV), Limit: float64(limit)})
-		}
-	}
-
-	newCodec := make(map[string]WireCodecPoint, len(newB.Codec))
-	for _, p := range newB.Codec {
-		newCodec[p.Kind] = p
-	}
-	for _, o := range oldB.Codec {
-		n, ok := newCodec[o.Kind]
-		if !ok {
-			continue
-		}
-		pfx := "wire/" + o.Kind
-		size(pfx+"/codec_bytes", o.CodecBytes, n.CodecBytes)
-		ns(pfx+"/codec_encode_ns", o.CodecEncNs, n.CodecEncNs)
-		ns(pfx+"/codec_decode_ns", o.CodecDecNs, n.CodecDecNs)
-	}
-
-	newLat := make(map[string]WireLatencyPoint, len(newB.Latency))
-	for _, p := range newB.Latency {
-		newLat[fmt.Sprintf("%s/%d", p.Suite, p.Size)] = p
-	}
-	for _, o := range oldB.Latency {
-		n, ok := newLat[fmt.Sprintf("%s/%d", o.Suite, o.Size)]
-		if !ok {
-			continue
-		}
-		pfx := fmt.Sprintf("latency/%s/size%d", o.Suite, o.Size)
-		ms(pfx+"/p50_ms", o.P50Ms, n.P50Ms)
-		ms(pfx+"/mean_ms", o.MeanMs, n.MeanMs)
-	}
-
-	if compared == 0 {
-		out = append(out, Regression{Metric: "coverage/comparable_metrics", Old: 1, New: 0, Limit: 1})
+	for _, p := range b.Latency {
+		pfx := fmt.Sprintf("latency/%s/size%d", p.Suite, p.Size)
+		out = append(out,
+			Row{pfx + "/p50_ms", p.P50Ms, GateMs},
+			Row{pfx + "/mean_ms", p.MeanMs, GateMs})
 	}
 	return out
 }

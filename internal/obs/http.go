@@ -2,9 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"strings"
 )
 
 // Live introspection endpoints (cmd/spreadd -debug-addr):
@@ -104,7 +106,7 @@ func Mux(sc *Scope, opts ...MuxOption) *http.ServeMux {
 				return
 			}
 			events, next, truncated := sc.Rec.EventsSince(since)
-			p.Events, p.NextSince, p.Truncated = filterGroupEvents(events, group), next, truncated
+			p.Events, p.NextSince, p.Truncated = FilterGroup(events, group), next, truncated
 			p.Total = next
 		} else {
 			p.Events = sc.Rec.GroupEvents(group)
@@ -152,17 +154,24 @@ func Mux(sc *Scope, opts ...MuxOption) *http.ServeMux {
 	return mux
 }
 
-// filterGroupEvents applies the /trace group filter to a cursor read:
-// group-less events (daemon view installs) stay, as in GroupEvents.
-func filterGroupEvents(events []Event, group string) []Event {
-	if group == "" {
-		return events
+// Endpoint names one node's introspection endpoint (a Mux, as served by
+// spreadd -debug-addr).
+type Endpoint struct{ Name, Addr string }
+
+// ParseEndpoints parses the name=http://host:port arguments of the tools
+// that scrape a fleet (sgctrace collect, sgcmon); trailing slashes are
+// trimmed so paths can be appended.
+func ParseEndpoints(args []string) ([]Endpoint, error) {
+	if len(args) == 0 {
+		return nil, fmt.Errorf("no endpoints; expected name=http://host:port arguments")
 	}
-	out := make([]Event, 0, len(events))
-	for _, e := range events {
-		if e.Group == "" || e.Group == group {
-			out = append(out, e)
+	out := make([]Endpoint, 0, len(args))
+	for _, a := range args {
+		name, addr, ok := strings.Cut(a, "=")
+		if !ok || name == "" || addr == "" {
+			return nil, fmt.Errorf("bad endpoint %q (want name=http://host:port)", a)
 		}
+		out = append(out, Endpoint{Name: name, Addr: strings.TrimRight(addr, "/")})
 	}
-	return out
+	return out, nil
 }

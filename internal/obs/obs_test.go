@@ -236,3 +236,49 @@ func TestLabelName(t *testing.T) {
 		t.Error("LabelName not stable")
 	}
 }
+
+// TestFilterGroup pins the one group filter: a group's own events and the
+// group-less ones (daemon view installs, spread wire events — causal
+// context for every group) stay in order, other groups' go, and the
+// empty group selects everything without copying.
+func TestFilterGroup(t *testing.T) {
+	evs := []Event{
+		{Seq: 1, Comp: "spread", Kind: "view-install"},
+		{Seq: 2, Comp: "flush", Kind: "flush-request", Group: "g"},
+		{Seq: 3, Comp: "flush", Kind: "flush-request", Group: "other"},
+		{Seq: 4, Comp: "core", Kind: "key-install", Group: "g"},
+	}
+	got := FilterGroup(evs, "g")
+	if len(got) != 3 || got[0].Seq != 1 || got[1].Seq != 2 || got[2].Seq != 4 {
+		t.Errorf("FilterGroup(g) = %+v", got)
+	}
+	if got := FilterGroup(evs, "none"); len(got) != 1 || got[0].Seq != 1 {
+		t.Errorf("FilterGroup(none) = %+v", got)
+	}
+	if got := FilterGroup(evs, ""); len(got) != 4 || &got[0] != &evs[0] {
+		t.Errorf("FilterGroup(\"\") did not return its input: %+v", got)
+	}
+
+	// Recorder.GroupEvents is the same filter over the ring.
+	r := NewRecorder("n", 8)
+	for _, e := range evs {
+		r.Record(Event{Comp: e.Comp, Kind: e.Kind, Group: e.Group})
+	}
+	if got := r.GroupEvents("g"); len(got) != 3 || got[2].Kind != "key-install" {
+		t.Errorf("GroupEvents(g) = %+v", got)
+	}
+}
+
+// TestParseEndpoints covers the name=URL argument grammar shared by
+// sgctrace collect and sgcmon.
+func TestParseEndpoints(t *testing.T) {
+	got, err := ParseEndpoints([]string{"d1=http://x:1/", "d2=http://y:2"})
+	if err != nil || len(got) != 2 || got[0] != (Endpoint{"d1", "http://x:1"}) || got[1] != (Endpoint{"d2", "http://y:2"}) {
+		t.Errorf("ParseEndpoints = %+v, %v", got, err)
+	}
+	for _, bad := range [][]string{nil, {"http://x"}, {"=http://x"}, {"d1="}} {
+		if _, err := ParseEndpoints(bad); err == nil {
+			t.Errorf("ParseEndpoints(%q) accepted", bad)
+		}
+	}
+}

@@ -240,16 +240,22 @@ func (r *Recorder) EventsSince(since uint64) (events []Event, next uint64, trunc
 	return events, n, truncated
 }
 
-// GroupEvents returns the retained events concerning the group (events
-// with no group, like daemon view installs, are included: they are causal
-// context for every group), oldest first.
+// GroupEvents returns the retained events concerning the group (see
+// FilterGroup), oldest first.
 func (r *Recorder) GroupEvents(group string) []Event {
-	all := r.Events()
+	return FilterGroup(r.Events(), group)
+}
+
+// FilterGroup returns the events concerning the group, in order: the
+// group's own plus those with no group (daemon view installs, spread wire
+// and membership events), which are causal context for every group. An
+// empty group selects everything and returns events itself.
+func FilterGroup(events []Event, group string) []Event {
 	if group == "" {
-		return all
+		return events
 	}
-	out := make([]Event, 0, len(all))
-	for _, e := range all {
+	out := make([]Event, 0, len(events))
+	for _, e := range events {
 		if e.Group == "" || e.Group == group {
 			out = append(out, e)
 		}

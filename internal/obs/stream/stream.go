@@ -204,9 +204,7 @@ func (s *streamer) produce(ctx context.Context, sub *subscriber, cursor uint64, 
 				Node: s.sc.Node, Since: cursor, Resumed: resumed, Initial: initial,
 			})
 		}
-		if group != "" {
-			events = filterGroup(events, group)
-		}
+		events = obs.FilterGroup(events, group)
 		if len(events) > 0 {
 			s.push(sub, KindTrace, events)
 		}
@@ -305,14 +303,4 @@ func (b *subscriber) droppedTotal() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dropped
-}
-
-func filterGroup(events []obs.Event, group string) []obs.Event {
-	out := make([]obs.Event, 0, len(events))
-	for _, e := range events {
-		if e.Group == "" || e.Group == group {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/crypt"
 	"repro/internal/dh"
 	"repro/internal/kga"
+	"repro/internal/obs"
 	"repro/internal/wirecodec"
 )
 
@@ -126,9 +127,10 @@ func (d *Daemon) secReset() {
 	}
 	s.proto = proto
 	// Daemon-layer KGA bodies carry HLC stamps too, so the inter-daemon
-	// rekey shows up in the same happens-before graph as group rekeys.
-	if cs, ok := proto.(kga.CausalSetter); ok && d.obs != nil && d.obs.Rec != nil {
-		cs.SetCausal(&daemonCausal{d: d})
+	// rekey shows up in the same happens-before graph as group rekeys
+	// (this engine lives for one view, so its events' View is fixed).
+	if cs, ok := proto.(kga.CausalSetter); ok {
+		cs.SetCausal(&kga.Causal{Scope: d.obs, Event: obs.Event{Comp: "spread-sec", View: d.viewStr}})
 	}
 
 	body := &secMsg{View: d.view.ID, Pub: proto.PubKey()}
