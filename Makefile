@@ -7,18 +7,18 @@ SWEEP_FLAGS ?= -sizes 2..8 -batch 3
 # baseline uses the default.
 BULK_COUNT ?= 20000
 
-.PHONY: check vet no-gob build test tree-clean race chaos chaos-tcp chaos-tcp-short \
+.PHONY: check vet no-gob layering build test tree-clean race chaos chaos-tcp chaos-tcp-short \
 	bench-exp bench-exp-diff bench-obs bench-rekey bench-report bench-diff \
 	bench-wire bench-wire-diff bench-bulk bench-bulk-diff obs-smoke mon-smoke crit-smoke
 
 ## check: the full local gate — vet, the one-wire-format guard (no-gob),
-## build, tests (which must leave the checked-in baselines untouched),
+## the DESIGN.md §6 import graph (layering), build, tests (which must leave the checked-in baselines untouched),
 ## the race suite on the packages with concurrency-sensitive fast paths, a
 ## short chaos schedule replayed over real TCP sockets, the causal-order
 ## gate, and the regression gates against the checked-in baselines (rekey
 ## latency, the data-plane wire sweep, bulk throughput, and the
 ## exponentiation/Seal/Open fast paths).
-check: vet no-gob build test tree-clean race chaos-tcp-short crit-smoke \
+check: vet no-gob layering build test tree-clean race chaos-tcp-short crit-smoke \
 	bench-diff bench-wire-diff bench-bulk-diff bench-exp-diff
 
 vet:
@@ -28,6 +28,11 @@ vet:
 ## encoding/gob may appear only on the remote-client stream and in tests.
 no-gob:
 	@! grep -rl --include='*.go' '"encoding/gob"' . | grep -v -e '_test\.go$$' -e '^\./benchmark/' -e '^\./internal/spread/remote\.go$$'
+
+## layering: the daemon, transport and flush layers carry no key agreement
+## or cipher code — keys live in the client library (DESIGN.md §6).
+layering:
+	@deps=$$($(GO) list -deps ./internal/transport ./internal/spread ./internal/flush) && ! echo "$$deps" | grep -E '^repro/internal/(ckd|cliques|crypt|blowfish|core)$$'
 
 build:
 	$(GO) build ./...

@@ -186,7 +186,7 @@ func BenchmarkAblationModulusSize(b *testing.B) {
 // throughput for each cipher suite through the full stack — isolating the
 // bulk-privacy cost the paper argues is negligible next to key management.
 func BenchmarkAblationCipherThroughput(b *testing.B) {
-	for _, suite := range []string{"blowfish-cbc", "aes-cbc", "null"} {
+	for _, suite := range []string{"blowfish-cbc", "null"} {
 		for _, size := range []int{64, 1024, 8192} {
 			suite, size := suite, size
 			b.Run(fmt.Sprintf("%s/%dB", suite, size), func(b *testing.B) {
@@ -259,7 +259,7 @@ func BenchmarkExpBatchParallel(b *testing.B) {
 // Allocation counts are the interesting metric (b.ReportAllocs).
 func BenchmarkSealOpen(b *testing.B) {
 	secret := []byte("benchmark-group-secret-material!")
-	for _, suite := range []string{"aes-cbc", "aes-ctr"} {
+	for _, suite := range []string{"aes-ctr"} {
 		s, err := crypt.NewSuite(suite, secret, []byte("bench"))
 		if err != nil {
 			b.Fatal(err)
@@ -299,31 +299,5 @@ func TestBenchExpReport(t *testing.T) {
 	rows, err := analyze.LoadRows(path)
 	if err != nil || len(rows) == 0 {
 		t.Fatalf("report flattened to %d rows, err %v", len(rows), err)
-	}
-}
-
-// BenchmarkAblationDaemonVsClientModel contrasts the paper's two security
-// models: the client model re-keys the group on every membership change,
-// while the daemon model keeps one daemon-group key (re-keyed only on
-// daemon membership changes) so a client join/leave costs no key agreement.
-func BenchmarkAblationDaemonVsClientModel(b *testing.B) {
-	for _, n := range []int{5, 10} {
-		n := n
-		b.Run(fmt.Sprintf("client-model-cliques/n%d", n), func(b *testing.B) {
-			st, err := bench.MeasureStack("cliques", n, b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(st.Join.Microseconds())/1000, "join-ms")
-			b.ReportMetric(float64(st.Leave.Microseconds())/1000, "leave-ms")
-		})
-		b.Run(fmt.Sprintf("daemon-model/n%d", n), func(b *testing.B) {
-			st, err := bench.DaemonModelTiming(n, b.N)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(st.Join.Microseconds())/1000, "join-ms")
-			b.ReportMetric(float64(st.Leave.Microseconds())/1000, "leave-ms")
-		})
 	}
 }

@@ -45,7 +45,7 @@ func run() error {
 		sessions[i] = s
 		// Centralized key distribution: "hq" (the oldest member) is the
 		// controller.
-		if err := s.JoinWith(group, securespread.ProtoCKD, securespread.SuiteAES); err != nil {
+		if err := s.JoinWith(group, securespread.ProtoCKD, securespread.SuiteAESCTR); err != nil {
 			return err
 		}
 	}

@@ -414,7 +414,7 @@ func TestTwoGroupsDifferentProtocols(t *testing.T) {
 		if err := c.Join("gc", "cliques", crypt.SuiteBlowfish); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Join("gk", "ckd", crypt.SuiteAES); err != nil {
+		if err := c.Join("gk", "ckd", crypt.SuiteAESCTR); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -503,7 +503,7 @@ func TestPartitionAndMergeRekeyCKD(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c := connectSecure(t, cluster.Daemons[i], fmt.Sprintf("u%d", i))
 		conns = append(conns, c)
-		if err := c.Join("g", "ckd", crypt.SuiteAES); err != nil {
+		if err := c.Join("g", "ckd", crypt.SuiteAESCTR); err != nil {
 			t.Fatal(err)
 		}
 		for _, cc := range conns {

@@ -4,7 +4,7 @@
 // secret, and an encrypt-then-MAC message framing.
 //
 // The paper's implementation used Blowfish for privacy; we register
-// Blowfish-CBC as the default and AES-CBC as the drop-in alternative the
+// Blowfish-CBC as the default and AES-CTR as the drop-in alternative the
 // paper anticipated adding via OpenSSL, plus a null suite for measuring pure
 // group-communication overhead.
 package crypt
@@ -27,7 +27,6 @@ import (
 // Suite names registered by default.
 const (
 	SuiteBlowfish = "blowfish-cbc"
-	SuiteAES      = "aes-cbc"
 	// SuiteAESCTR is a stream-cipher-style suite (AES in counter mode):
 	// the paper notes encryption "can be done with almost no overhead if
 	// certain types of stream ciphers are used".
@@ -85,7 +84,6 @@ var (
 	registryMu sync.RWMutex
 	registry   = map[string]Constructor{
 		SuiteBlowfish: newBlowfishCBC,
-		SuiteAES:      newAESCBC,
 		SuiteAESCTR:   newAESCTR,
 		SuiteNull:     newNull,
 	}
@@ -130,8 +128,7 @@ func NewSuite(name string, secret, context []byte) (Suite, error) {
 	return ctor(NewKDF(secret, context))
 }
 
-// cbcSuite is the shared implementation of the CBC + HMAC-SHA256
-// encrypt-then-MAC suites.
+// cbcSuite is the CBC + HMAC-SHA256 encrypt-then-MAC suite (Blowfish-CBC).
 type cbcSuite struct {
 	name  string
 	block cipher.Block
@@ -150,18 +147,6 @@ func newBlowfishCBC(km io.Reader) (Suite, error) {
 		return nil, err
 	}
 	return newCBC(SuiteBlowfish, blk, km)
-}
-
-func newAESCBC(km io.Reader) (Suite, error) {
-	key := make([]byte, 16)
-	if _, err := io.ReadFull(km, key); err != nil {
-		return nil, fmt.Errorf("derive aes key: %w", err)
-	}
-	blk, err := aes.NewCipher(key)
-	if err != nil {
-		return nil, err
-	}
-	return newCBC(SuiteAES, blk, km)
 }
 
 func newCBC(name string, blk cipher.Block, km io.Reader) (Suite, error) {

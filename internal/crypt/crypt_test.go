@@ -12,7 +12,7 @@ import (
 func allSuites(t testing.TB, secret, context []byte) map[string]Suite {
 	t.Helper()
 	out := make(map[string]Suite)
-	for _, name := range []string{SuiteBlowfish, SuiteAES, SuiteAESCTR, SuiteNull} {
+	for _, name := range []string{SuiteBlowfish, SuiteAESCTR, SuiteNull} {
 		s, err := NewSuite(name, secret, context)
 		if err != nil {
 			t.Fatalf("NewSuite(%s): %v", name, err)
@@ -134,7 +134,7 @@ func TestTruncatedFrames(t *testing.T) {
 
 func TestCiphertextHidesPlaintext(t *testing.T) {
 	pt := bytes.Repeat([]byte("secret text "), 8)
-	for _, name := range []string{SuiteBlowfish, SuiteAES, SuiteAESCTR} {
+	for _, name := range []string{SuiteBlowfish, SuiteAESCTR} {
 		s, err := NewSuite(name, []byte("k"), []byte("c"))
 		if err != nil {
 			t.Fatal(err)
@@ -295,7 +295,6 @@ func TestSealOpenAllocs(t *testing.T) {
 	}
 	limits := map[string]struct{ seal, open float64 }{
 		SuiteBlowfish: {4, 5}, // generic CBC mode allocates its own state
-		SuiteAES:      {2, 3},
 		SuiteAESCTR:   {2, 3},
 		SuiteNull:     {1, 2},
 	}
@@ -314,7 +313,6 @@ func TestSealOpenAllocs(t *testing.T) {
 }
 
 func BenchmarkSealBlowfish1K(b *testing.B) { benchSeal(b, SuiteBlowfish, 1024) }
-func BenchmarkSealAES1K(b *testing.B)      { benchSeal(b, SuiteAES, 1024) }
 func BenchmarkSealAESCTR1K(b *testing.B)   { benchSeal(b, SuiteAESCTR, 1024) }
 func BenchmarkSealNull1K(b *testing.B)     { benchSeal(b, SuiteNull, 1024) }
 

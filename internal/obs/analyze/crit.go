@@ -167,7 +167,7 @@ func critPhase(e obs.Event, cur string) (step, next string) {
 		return "first-send", "first-send"
 	case strings.HasPrefix(e.Kind, "kga-"):
 		return "kga", "kga"
-	case e.Comp != "core" && e.Comp != "flush" && e.Comp != "spread" && e.Comp != "spread-sec":
+	case e.Comp != "core" && e.Comp != "flush" && e.Comp != "spread":
 		// Protocol-engine wire events (cliques, ckd) are KGA rounds.
 		return "kga", "kga"
 	}

@@ -115,7 +115,6 @@ type Daemon struct {
 	obs      *obs.Scope
 	log      *obs.Logger
 	counters statsCounters
-	sec      *daemonSec
 
 	stateWait    map[string]bool
 	stateEntries map[string][]stateEntry
@@ -209,10 +208,6 @@ func NewDaemon(name string, peers []string, net transport.Network, cfg Config) (
 	d.stateWait = map[string]bool{}
 	d.stateEntries = map[string][]stateEntry{}
 	d.stateSeqs = map[string]uint64{}
-	if d.cfg.DaemonKeying {
-		d.sec = newDaemonSec(d.cfg.DaemonKeyProto, d.cfg.DaemonKeySuite)
-		d.secReset()
-	}
 
 	go d.run()
 	return d, nil
@@ -439,12 +434,6 @@ func (d *Daemon) dispatch(from string, m *wireMsg, now time.Time) {
 		d.onSyncAck(from, m.SyncAck)
 	case kindInstall:
 		d.onInstall(from, m.Install)
-	case kindSecAnnounce:
-		d.onSecAnnounce(from, m.Sec)
-	case kindSecKGA:
-		d.onSecKGA(from, m.Sec)
-	case kindSecData:
-		d.onSecData(from, m.Sec)
 	case kindNack:
 		d.onNack(from, m.Nack)
 	}
@@ -600,8 +589,7 @@ func (d *Daemon) bumpLTS() uint64 {
 
 // broadcastData originates a data message in the current view: it is
 // delivered locally through the same path as remote messages and sent to
-// every other view member. Under daemon keying, outbound traffic is held
-// until the view is keyed and then travels encrypted.
+// every other view member.
 //
 // While a membership change is in flight (forming, frozen, or a state
 // exchange), everything except the state exchange itself is deferred:
@@ -614,10 +602,6 @@ func (d *Daemon) broadcastData(p payload) {
 		d.queuedOps = append(d.queuedOps, queuedOp{p: p})
 		return
 	}
-	if d.sec != nil && !d.sec.ready {
-		d.sec.held = append(d.sec.held, p)
-		return
-	}
 	d.seq++
 	d.counters.msgsSent.Inc()
 	m := &dataMsg{
@@ -627,30 +611,21 @@ func (d *Daemon) broadcastData(p payload) {
 		LTS:    d.bumpLTS(),
 		P:      p,
 	}
-	// One pooled encode of the inner frame; under daemon keying it is
-	// sealed and wrapped in place (secSealEncode) rather than re-encoded,
-	// so the seal→encode→send chain copies the payload once. Data frames
-	// propagate the clock without recording a trace event: the causal
-	// chain the checkers rely on rides the flush layer's send→deliver
-	// edge, and two ring writes per message are measurable at bulk rates.
-	inner, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
+	// One pooled encode, fanned out to every member (transports copy on
+	// Send). Data frames propagate the clock without recording a trace
+	// event: the causal chain the checkers rely on rides the flush layer's
+	// send→deliver edge, and two ring writes per message are measurable at
+	// bulk rates.
+	enc, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
 	if err == nil {
-		enc, kind := inner, kindData
-		var sealed []byte
-		if d.sec != nil && d.sec.suite != nil {
-			if sb, serr := d.secSealEncode(inner); serr == nil {
-				sealed, enc, kind = sb, sb, kindSecData
-			}
-		}
 		for _, member := range d.view.Members {
 			if member != d.name {
-				d.counters.countSent(kind, len(enc))
+				d.counters.countSent(kindData, len(enc))
 				_ = d.node.Send(member, enc)
 			}
 		}
-		wirecodec.PutBuf(sealed)
 	}
-	wirecodec.PutBuf(inner)
+	wirecodec.PutBuf(enc)
 	d.onData(m)
 }
 
@@ -830,26 +805,16 @@ func (d *Daemon) onNack(from string, n *nackMsg) {
 	}
 }
 
-// resendData re-sends one data message to a single daemon, sealed exactly
-// like the original broadcast when daemon keying is on.
+// resendData re-sends one data message to a single daemon, encoded exactly
+// like the original broadcast.
 func (d *Daemon) resendData(to string, m *dataMsg) {
-	inner, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
-	if err != nil {
-		wirecodec.PutBuf(inner)
-		return
+	enc, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, d.clockExt())
+	if err == nil {
+		d.counters.msgsRetransmitted.Inc()
+		d.counters.countSent(kindData, len(enc))
+		_ = d.node.Send(to, enc)
 	}
-	enc, kind := inner, kindData
-	var sealed []byte
-	if d.sec != nil && d.sec.suite != nil {
-		if sb, serr := d.secSealEncode(inner); serr == nil {
-			sealed, enc, kind = sb, sb, kindSecData
-		}
-	}
-	d.counters.msgsRetransmitted.Inc()
-	d.counters.countSent(kind, len(enc))
-	_ = d.node.Send(to, enc)
-	wirecodec.PutBuf(sealed)
-	wirecodec.PutBuf(inner)
+	wirecodec.PutBuf(enc)
 }
 
 // tryDeliver delivers every message whose ordering constraints are met:

@@ -42,10 +42,7 @@ func corpusWire(t testing.TB) [][]byte {
 		}},
 		{Kind: kindPropose, Prop: &proposeMsg{Round: 7}},
 		{Kind: kindSync, Sync: &syncMsg{Round: 7, Members: []string{"d00", "d01"}}},
-		{Kind: kindSyncAck, SyncAck: &syncAckMsg{
-			Round: 7, OldView: v, Msgs: []dataMsg{data},
-			Sealed: []sealedData{{Sender: "d00", Seq: 1, Frame: []byte{1, 2, 3}}},
-		}},
+		{Kind: kindSyncAck, SyncAck: &syncAckMsg{Round: 7, OldView: v, Msgs: []dataMsg{data}}},
 		{Kind: kindInstall, Install: &installMsg{
 			Round:     7,
 			View:      View{ID: ViewID{Epoch: 4, Coord: "d00"}, Members: []string{"d00", "d01"}},

@@ -189,35 +189,14 @@ func (d *Daemon) coordSync() {
 }
 
 // makeSyncAck snapshots every old-view message this daemon has seen.
-// Under daemon keying, payloads are sealed under the old view's key so the
-// coordinator (possibly from another component) relays them opaquely.
 func (d *Daemon) makeSyncAck() *syncAckMsg {
 	ack := &syncAckMsg{Round: d.form.round, OldView: d.view.ID}
-	add := func(m *dataMsg) {
-		if d.sec != nil && d.sec.ready && d.sec.suite != nil {
-			enc, err := encodeWire(wirecodec.GetBuf(), &wireMsg{Kind: kindData, Data: m}, nil)
-			if err != nil {
-				wirecodec.PutBuf(enc)
-				return
-			}
-			// The sealed frame escapes into the ack, so only the inner
-			// encoding recycles.
-			frame, err := d.sec.suite.Seal(enc)
-			wirecodec.PutBuf(enc)
-			if err != nil {
-				return
-			}
-			ack.Sealed = append(ack.Sealed, sealedData{Sender: m.Sender, Seq: m.Seq, Frame: frame})
-			return
-		}
-		ack.Msgs = append(ack.Msgs, *m)
-	}
 	for _, m := range d.retained {
-		add(m)
+		ack.Msgs = append(ack.Msgs, *m)
 	}
 	for _, q := range d.pending {
 		for i := 0; i < q.len(); i++ {
-			add(q.at(i))
+			ack.Msgs = append(ack.Msgs, *q.at(i))
 		}
 	}
 	return ack
@@ -282,10 +261,8 @@ func (d *Daemon) maybeInstall() {
 	if len(d.form.synced) == 0 || len(d.form.acks) < len(d.form.synced) {
 		return
 	}
-	// Build the per-old-view message unions (plaintext and sealed share
-	// one dedup space per old view).
+	// Build the per-old-view message unions.
 	recovered := make(map[ViewID][]dataMsg)
-	recoveredSealed := make(map[ViewID][]sealedData)
 	seen := make(map[ViewID]map[msgKey]bool)
 	maxEpoch := d.maxEpoch
 	for _, ack := range d.form.acks {
@@ -304,20 +281,12 @@ func (d *Daemon) maybeInstall() {
 			dedup[m.key()] = true
 			recovered[ack.OldView] = append(recovered[ack.OldView], m)
 		}
-		for _, sm := range ack.Sealed {
-			k := msgKey{Sender: sm.Sender, Seq: sm.Seq}
-			if dedup[k] {
-				continue
-			}
-			dedup[k] = true
-			recoveredSealed[ack.OldView] = append(recoveredSealed[ack.OldView], sm)
-		}
 	}
 	view := View{
 		ID:      ViewID{Epoch: maxEpoch + 1, Coord: d.name},
 		Members: slices.Clone(d.form.synced),
 	}
-	inst := &installMsg{Round: d.form.round, View: view, Recovered: recovered, RecoveredSealed: recoveredSealed}
+	inst := &installMsg{Round: d.form.round, View: view, Recovered: recovered}
 	msg := &wireMsg{Kind: kindInstall, Install: inst}
 	for _, m := range view.Members {
 		if m != d.name {
@@ -353,22 +322,6 @@ func (d *Daemon) installView(inst *installMsg) {
 		mm := m
 		d.acceptData(&mm)
 		d.counters.msgsRecovered.Inc()
-	}
-	// Sealed recovery entries decrypt under the old view's daemon key,
-	// which is still installed at this point.
-	if d.sec != nil && d.sec.suite != nil {
-		for _, sm := range inst.RecoveredSealed[oldView] {
-			plain, err := d.sec.suite.Open(sm.Frame)
-			if err != nil {
-				continue
-			}
-			inner, _, err := decodeWire(plain)
-			if err != nil || inner.Kind != kindData || inner.Data == nil {
-				continue
-			}
-			d.acceptData(inner.Data)
-			d.counters.msgsRecovered.Inc()
-		}
 	}
 	d.flushOldView()
 
@@ -426,12 +379,6 @@ func (d *Daemon) installView(inst *installMsg) {
 	d.obs.Record(obs.Event{Comp: "spread", Kind: "view-install",
 		View:   d.view.ID.String(),
 		Detail: fmt.Sprintf("members=%v prev=%s", d.view.Members, oldView)})
-
-	// Under daemon keying, re-key the daemon group before any data (the
-	// state exchange below is held until the key is in place).
-	if d.sec != nil {
-		d.secReset()
-	}
 
 	d.broadcastData(payload{Kind: payGroupState, State: d.localStateEntries(oldView)})
 

@@ -557,3 +557,26 @@ func TestTwoGroupsIndependent(t *testing.T) {
 	case <-time.After(50 * time.Millisecond):
 	}
 }
+
+func TestStatsSnapshot(t *testing.T) {
+	c := newTestCluster(t, 2)
+	a, _ := c.Daemons[0].Connect("a")
+	a.Join("g")
+	nextView(t, a, "g")
+	a.Multicast(Agreed, "g", []byte("x"))
+	nextData(t, a, "g")
+
+	st := c.Daemons[0].Stats()
+	if st.Clients != 1 {
+		t.Fatalf("clients = %d", st.Clients)
+	}
+	if st.Groups != 1 {
+		t.Fatalf("groups = %d", st.Groups)
+	}
+	if st.MsgsSent == 0 || st.MsgsDelivered == 0 {
+		t.Fatalf("counters empty: %+v", st)
+	}
+	if len(st.View.Members) != 2 {
+		t.Fatalf("view = %+v", st.View)
+	}
+}

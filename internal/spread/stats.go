@@ -23,9 +23,6 @@ type Stats struct {
 	Clients int
 	// Retained is the current size of the recovery buffer.
 	Retained int
-	// DaemonKeyEpoch is the daemon-group key epoch (daemon keying model
-	// only; zero when disabled or not yet keyed).
-	DaemonKeyEpoch uint64
 }
 
 // statsCounters caches the daemon's registry instruments so hot-path
@@ -104,9 +101,6 @@ func (d *Daemon) Stats() Stats {
 		out.Groups = len(d.groups)
 		out.Clients = len(d.clients)
 		out.Retained = len(d.retained)
-		if d.sec != nil && d.sec.key != nil {
-			out.DaemonKeyEpoch = d.sec.key.Epoch
-		}
 	})
 	return out
 }

@@ -241,18 +241,6 @@ type Config struct {
 	// operations a client may have queued toward the daemon loop before
 	// Multicast/Unicast block for backpressure. Zero means 1024.
 	SubmitBuffer int
-
-	// DaemonKeying enables the daemon security model (the paper's
-	// Section 5 alternative): the daemons of a view agree on a
-	// daemon-group key once per daemon membership change and encrypt all
-	// inter-daemon data traffic under it.
-	DaemonKeying bool
-	// DaemonKeyProto selects the key agreement module for daemon keying
-	// ("ckd" by default; "cliques" requires the embedding program to
-	// import repro/internal/cliques).
-	DaemonKeyProto string
-	// DaemonKeySuite selects the wire cipher suite (AES-CTR by default).
-	DaemonKeySuite string
 }
 
 func (c Config) withDefaults() Config {

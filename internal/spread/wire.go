@@ -12,10 +12,6 @@ const (
 	kindSync
 	kindSyncAck
 	kindInstall
-	// Daemon-model security (Config.DaemonKeying).
-	kindSecAnnounce
-	kindSecKGA
-	kindSecData
 	// Link-loss recovery: a receiver that detects a per-sender sequence
 	// gap asks the origin to retransmit from its retained buffer.
 	kindNack
@@ -26,16 +22,13 @@ const (
 // kindDetails holds each kind's trace detail string, built once: the wire
 // trace hot path stamps one on every frame.
 var kindDetails = [kindMax]string{
-	kindHeartbeat:   "kind=heartbeat",
-	kindData:        "kind=data",
-	kindPropose:     "kind=propose",
-	kindSync:        "kind=sync",
-	kindSyncAck:     "kind=syncack",
-	kindInstall:     "kind=install",
-	kindSecAnnounce: "kind=sec-announce",
-	kindSecKGA:      "kind=sec-kga",
-	kindSecData:     "kind=sec-data",
-	kindNack:        "kind=nack",
+	kindHeartbeat: "kind=heartbeat",
+	kindData:      "kind=data",
+	kindPropose:   "kind=propose",
+	kindSync:      "kind=sync",
+	kindSyncAck:   "kind=syncack",
+	kindInstall:   "kind=install",
+	kindNack:      "kind=nack",
 }
 
 // kindDetail is the trace detail "kind=<name>" of a wire kind.
@@ -69,7 +62,6 @@ type wireMsg struct {
 	Sync    *syncMsg
 	SyncAck *syncAckMsg
 	Install *installMsg
-	Sec     *secMsg
 	Nack    *nackMsg
 }
 
@@ -171,22 +163,11 @@ type syncMsg struct {
 }
 
 // syncAckMsg returns a candidate's old-view state for the delivery cut:
-// every old-view message it has seen (retained + pending). Under daemon
-// keying the messages travel sealed under the old view's daemon key, with
-// only the dedup metadata in the clear.
+// every old-view message it has seen (retained + pending).
 type syncAckMsg struct {
 	Round   uint64
 	OldView ViewID
 	Msgs    []dataMsg
-	Sealed  []sealedData
-}
-
-// sealedData is a recovery entry whose payload only members of the old
-// view can decrypt.
-type sealedData struct {
-	Sender string
-	Seq    uint64
-	Frame  []byte
 }
 
 // installMsg commits the new view and carries the recovered old-view
@@ -196,7 +177,4 @@ type installMsg struct {
 	Round     uint64
 	View      View
 	Recovered map[ViewID][]dataMsg
-	// RecoveredSealed carries daemon-keyed recovery entries; only
-	// members of the old view hold the key.
-	RecoveredSealed map[ViewID][]sealedData
 }

@@ -29,10 +29,6 @@ func wireBenchMessages() []*wireMsg {
 		View: v, Sender: "daemon-01", Seq: 42, LTS: 1717,
 		P: payload{Kind: payClientData, Group: "g", Member: "m#daemon-01", Service: Agreed, Data: data},
 	}
-	frame := make([]byte, 1024+48)
-	for i := range frame {
-		frame[i] = byte(i * 7)
-	}
 	return []*wireMsg{
 		{Kind: kindHeartbeat, HB: &hbMsg{View: v, LTS: 1717, Stable: 1700, Seq: 42}},
 		{Kind: kindData, Data: &dm},
@@ -44,7 +40,6 @@ func wireBenchMessages() []*wireMsg {
 			View:      View{ID: ViewID{Epoch: 4, Coord: "daemon-00"}, Members: []string{"daemon-00", "daemon-01"}},
 			Recovered: map[ViewID][]dataMsg{v: {dm}},
 		}},
-		{Kind: kindSecData, Sec: &secMsg{View: v, Epoch: 2, Frame: frame}},
 		{Kind: kindNack, Nack: &nackMsg{View: v, Sender: "daemon-01", From: 2, To: 5}},
 	}
 }

@@ -58,15 +58,6 @@ func encodeWire(buf []byte, m *wireMsg, ext *wirecodec.Ext) ([]byte, error) {
 			return b, nil
 		}
 		b = appendInstall(b, m.Install)
-	case kindSecAnnounce, kindSecKGA, kindSecData:
-		if b = appendPresent(b, m.Sec == nil); m.Sec == nil {
-			return b, nil
-		}
-		b = appendViewID(b, m.Sec.View)
-		b = wirecodec.AppendBigInt(b, m.Sec.Pub)
-		b = wirecodec.AppendKGAMessage(b, m.Sec.KGA)
-		b = wirecodec.AppendUvarint(b, m.Sec.Epoch)
-		b = wirecodec.AppendBytes(b, m.Sec.Frame)
 	case kindNack:
 		if b = appendPresent(b, m.Nack == nil); m.Nack == nil {
 			return b, nil
@@ -122,14 +113,6 @@ func decodeWire(data []byte) (*wireMsg, *wirecodec.Ext, error) {
 		m.SyncAck = readSyncAck(d)
 	case kindInstall:
 		m.Install = readInstall(d)
-	case kindSecAnnounce, kindSecKGA, kindSecData:
-		sec := &secMsg{}
-		sec.View = readViewID(d)
-		sec.Pub = d.BigInt()
-		sec.KGA = d.KGAMessage()
-		sec.Epoch = d.Uvarint()
-		sec.Frame = d.Bytes()
-		m.Sec = sec
 	case kindNack:
 		n := &nackMsg{}
 		n.View = readViewID(d)
@@ -233,31 +216,6 @@ func readPayload(d *wirecodec.Dec, p *payload) {
 	}
 }
 
-func appendSealed(b []byte, s []sealedData) []byte {
-	if s == nil {
-		return append(b, 0)
-	}
-	b = wirecodec.AppendUvarint(b, uint64(len(s))+1)
-	for i := range s {
-		b = wirecodec.AppendString(b, s[i].Sender)
-		b = wirecodec.AppendUvarint(b, s[i].Seq)
-		b = wirecodec.AppendBytes(b, s[i].Frame)
-	}
-	return b
-}
-
-func readSealed(d *wirecodec.Dec) []sealedData {
-	n, present := d.Count()
-	if !present {
-		return nil
-	}
-	out := make([]sealedData, 0, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		out = append(out, sealedData{Sender: d.String(), Seq: d.Uvarint(), Frame: d.Bytes()})
-	}
-	return out
-}
-
 func appendDataMsgs(b []byte, msgs []dataMsg) []byte {
 	if msgs == nil {
 		return append(b, 0)
@@ -285,8 +243,7 @@ func readDataMsgs(d *wirecodec.Dec) []dataMsg {
 func appendSyncAck(b []byte, a *syncAckMsg) []byte {
 	b = wirecodec.AppendUvarint(b, a.Round)
 	b = appendViewID(b, a.OldView)
-	b = appendDataMsgs(b, a.Msgs)
-	return appendSealed(b, a.Sealed)
+	return appendDataMsgs(b, a.Msgs)
 }
 
 func readSyncAck(d *wirecodec.Dec) *syncAckMsg {
@@ -294,13 +251,12 @@ func readSyncAck(d *wirecodec.Dec) *syncAckMsg {
 	a.Round = d.Uvarint()
 	a.OldView = readViewID(d)
 	a.Msgs = readDataMsgs(d)
-	a.Sealed = readSealed(d)
 	return a
 }
 
 // sortedViews returns map keys in (epoch, coord) order so the encoding is
 // deterministic regardless of map iteration order.
-func sortedViews[V any](m map[ViewID]V) []ViewID {
+func sortedViews(m map[ViewID][]dataMsg) []ViewID {
 	keys := make([]ViewID, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -314,22 +270,12 @@ func appendInstall(b []byte, inst *installMsg) []byte {
 	b = appendViewID(b, inst.View.ID)
 	b = wirecodec.AppendStrings(b, inst.View.Members)
 	if inst.Recovered == nil {
-		b = append(b, 0)
-	} else {
-		b = wirecodec.AppendUvarint(b, uint64(len(inst.Recovered))+1)
-		for _, v := range sortedViews(inst.Recovered) {
-			b = appendViewID(b, v)
-			b = appendDataMsgs(b, inst.Recovered[v])
-		}
+		return append(b, 0)
 	}
-	if inst.RecoveredSealed == nil {
-		b = append(b, 0)
-	} else {
-		b = wirecodec.AppendUvarint(b, uint64(len(inst.RecoveredSealed))+1)
-		for _, v := range sortedViews(inst.RecoveredSealed) {
-			b = appendViewID(b, v)
-			b = appendSealed(b, inst.RecoveredSealed[v])
-		}
+	b = wirecodec.AppendUvarint(b, uint64(len(inst.Recovered))+1)
+	for _, v := range sortedViews(inst.Recovered) {
+		b = appendViewID(b, v)
+		b = appendDataMsgs(b, inst.Recovered[v])
 	}
 	return b
 }
@@ -344,13 +290,6 @@ func readInstall(d *wirecodec.Dec) *installMsg {
 		for i := uint64(0); i < n && d.Err() == nil; i++ {
 			v := readViewID(d)
 			inst.Recovered[v] = readDataMsgs(d)
-		}
-	}
-	if n, present := d.Count(); present {
-		inst.RecoveredSealed = make(map[ViewID][]sealedData, n)
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			v := readViewID(d)
-			inst.RecoveredSealed[v] = readSealed(d)
 		}
 	}
 	return inst

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
-	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
-	"repro/internal/kga"
 	"repro/internal/wirecodec"
 )
 
@@ -74,27 +73,6 @@ func randDataMsg(r *rand.Rand) dataMsg {
 	return m
 }
 
-func randSealed(r *rand.Rand) []sealedData {
-	if r.Intn(2) == 0 {
-		return nil
-	}
-	out := make([]sealedData, 1+r.Intn(3))
-	for i := range out {
-		out[i] = sealedData{Sender: randString(r), Seq: r.Uint64() >> uint(r.Intn(64)), Frame: randBytes(r)}
-	}
-	return out
-}
-
-func randKGAMessage(r *rand.Rand) *kga.Message {
-	return &kga.Message{
-		Proto: randString(r),
-		Type:  r.Intn(16) - 4,
-		From:  randString(r),
-		To:    randString(r),
-		Body:  randBytes(r),
-	}
-}
-
 func randWireMsg(r *rand.Rand) *wireMsg {
 	kind := msgKind(1 + r.Intn(int(kindMax)-1))
 	m := &wireMsg{Kind: kind}
@@ -116,7 +94,7 @@ func randWireMsg(r *rand.Rand) *wireMsg {
 		}
 		m.Sync = s
 	case kindSyncAck:
-		a := &syncAckMsg{Round: r.Uint64() >> uint(r.Intn(64)), OldView: randViewID(r), Sealed: randSealed(r)}
+		a := &syncAckMsg{Round: r.Uint64() >> uint(r.Intn(64)), OldView: randViewID(r)}
 		for i, n := 0, r.Intn(3); i < n; i++ {
 			a.Msgs = append(a.Msgs, randDataMsg(r))
 		}
@@ -139,22 +117,7 @@ func randWireMsg(r *rand.Rand) *wireMsg {
 				inst.Recovered[randViewID(r)] = msgs
 			}
 		}
-		if r.Intn(2) == 0 {
-			inst.RecoveredSealed = map[ViewID][]sealedData{randViewID(r): randSealed(r)}
-		}
 		m.Install = inst
-	case kindSecAnnounce, kindSecKGA, kindSecData:
-		sec := &secMsg{View: randViewID(r), Epoch: r.Uint64() >> uint(r.Intn(64)), Frame: randBytes(r)}
-		if r.Intn(2) == 0 {
-			sec.Pub = new(big.Int).Rand(r, new(big.Int).Lsh(big.NewInt(1), 512))
-			if r.Intn(8) == 0 {
-				sec.Pub.Neg(sec.Pub)
-			}
-		}
-		if r.Intn(2) == 0 {
-			sec.KGA = randKGAMessage(r)
-		}
-		m.Sec = sec
 	case kindNack:
 		m.Nack = &nackMsg{View: randViewID(r), Sender: randString(r), From: r.Uint64(), To: r.Uint64()}
 	}
@@ -199,22 +162,35 @@ func legacyWire(t testing.TB) (gobFrame, v1Frame []byte) {
 	return buf.Bytes(), append([]byte{wirecodec.Magic, 0x01}, enc[3:]...)
 }
 
-// TestDecodeWireRejects: retired formats and malformed preambles are
-// errors the caller can classify, never panics or half-decoded values.
+// TestDecodeWireRejects: retired formats, malformed preambles and kinds
+// outside the vocabulary are errors the caller can classify, never panics
+// or half-decoded values.
 func TestDecodeWireRejects(t *testing.T) {
 	gobFrame, v1Frame := legacyWire(t)
+	// kindFrame is a well-formed, bodiless frame of the given kind.
+	kindFrame := func(k msgKind) []byte {
+		return append(wirecodec.AppendInt(wirecodec.AppendPreambleExt(nil, nil), int64(k)), 0)
+	}
 	for _, tc := range []struct {
 		name string
 		in   []byte
-		want error
+		want error // nil: an unknown-kind error
 	}{
 		{"gob", gobFrame, wirecodec.ErrNotCodec},
 		{"version 1", v1Frame, wirecodec.ErrBadVersion},
 		{"unknown version", []byte{wirecodec.Magic, 0x7f, 0, 2, 0}, wirecodec.ErrBadVersion},
 		{"ext-len overruns frame", []byte{wirecodec.Magic, wirecodec.Version, 40, 2, 0}, wirecodec.ErrTruncated},
 		{"empty", nil, wirecodec.ErrNotCodec},
+		{"kind kindMax", kindFrame(kindMax), nil},
+		// 10 was kindNack before the daemon-keying kinds were deleted.
+		{"kind 10", kindFrame(10), nil},
 	} {
-		if m, _, err := decodeWire(tc.in); !errors.Is(err, tc.want) {
+		m, _, err := decodeWire(tc.in)
+		ok := errors.Is(err, tc.want)
+		if tc.want == nil {
+			ok = err != nil && strings.Contains(err.Error(), "unknown kind")
+		}
+		if !ok {
 			t.Errorf("%s: got (%v, %v), want %v", tc.name, m, err, tc.want)
 		}
 	}

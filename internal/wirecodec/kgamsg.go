@@ -2,10 +2,8 @@ package wirecodec
 
 import "repro/internal/kga"
 
-// kga.Message crosses two independent wire formats — the daemon security
-// envelope (internal/spread secMsg) and the secure layer envelope
-// (internal/core) — so its field encoding lives here, next to the
-// primitives, rather than being duplicated in both.
+// kga.Message's field encoding lives here, next to the primitives, so the
+// secure layer envelope (internal/core) composes it like any other field.
 
 // AppendKGAMessage appends a kga.Message's fields (presence byte first, so
 // nil pointers survive round trips).

@@ -13,7 +13,7 @@
 // A process connects to a daemon, joins named groups, and picks — per
 // group, at run time — a key agreement module ("cliques" for distributed
 // contributory group Diffie-Hellman, "ckd" for the centralized baseline)
-// and a cipher suite (Blowfish-CBC as in the paper, AES-CBC, or an
+// and a cipher suite (Blowfish-CBC as in the paper, AES-CTR, or an
 // authenticate-only null suite). Every membership change (join, leave,
 // disconnect, partition, merge) re-keys the group before the SecureView
 // event announces it as operational; application data is encrypted and
@@ -62,8 +62,6 @@ const (
 	// SuiteBlowfish is Blowfish-CBC with HMAC-SHA256 (the paper's bulk
 	// cipher).
 	SuiteBlowfish = crypt.SuiteBlowfish
-	// SuiteAES is AES-128-CBC with HMAC-SHA256.
-	SuiteAES = crypt.SuiteAES
 	// SuiteAESCTR is AES-128-CTR (stream style, no padding) with
 	// HMAC-SHA256.
 	SuiteAESCTR = crypt.SuiteAESCTR

@@ -41,6 +41,17 @@ func waitView(t *testing.T, s *Session, group string, n int) SecureView {
 	return SecureView{}
 }
 
+// waitEpoch waits for an n-member secure view of group at epoch min or
+// later and returns its epoch.
+func waitEpoch(t *testing.T, s *Session, group string, n int, min uint64) uint64 {
+	t.Helper()
+	for {
+		if v := waitView(t, s, group, n); v.Epoch >= min {
+			return v.Epoch
+		}
+	}
+}
+
 func waitMsg(t *testing.T, s *Session, group string) Message {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -122,7 +133,7 @@ func TestJoinWithModules(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*Session{a, b} {
-		if err := s.JoinWith("ops", ProtoCKD, SuiteAES); err != nil {
+		if err := s.JoinWith("ops", ProtoCKD, SuiteAESCTR); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,42 +271,40 @@ func TestConnectRemoteSecureSession(t *testing.T) {
 	}
 }
 
-func TestComposedModels(t *testing.T) {
-	// Client model and daemon model composed: the wire is daemon-keyed
-	// AND every group is end-to-end encrypted by the secure layer.
+// TestAutoRefreshAcrossDaemons drives WithAutoRefresh through the public
+// API: with no membership change the group re-keys on its own, and secure
+// multicast still crosses daemons under the rotated key.
+func TestAutoRefreshAcrossDaemons(t *testing.T) {
 	cluster, err := NewLocalClusterConfig(2, DaemonConfig{
 		Heartbeat:    10 * time.Millisecond,
 		SuspectAfter: 150 * time.Millisecond,
-		DaemonKeying: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cluster.Stop)
 
-	a, err := Connect(cluster.Daemons[0], "a", WithAutoRefresh(200*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Connect(cluster.Daemons[1], "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []*Session{a, b} {
+	var sessions []*Session
+	for i, name := range []string{"a", "b"} {
+		s, err := Connect(cluster.Daemons[i], name, WithAutoRefresh(200*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Join("g"); err != nil {
 			t.Fatal(err)
 		}
+		sessions = append(sessions, s)
 	}
-	waitView(t, a, "g", 2)
-	waitView(t, b, "g", 2)
-	if err := a.Multicast("g", []byte("double-wrapped")); err != nil {
+	a, b := sessions[0], sessions[1]
+	first := waitView(t, a, "g", 2)
+	// Both members must hold the rotated key before the send: a frame
+	// sealed under a key the receiver already replaced is dropped as stale.
+	rotated := waitEpoch(t, a, "g", 2, first.Epoch+1)
+	waitEpoch(t, b, "g", 2, rotated)
+	if err := a.Multicast("g", []byte("rotated")); err != nil {
 		t.Fatal(err)
 	}
-	if m := waitMsg(t, b, "g"); string(m.Data) != "double-wrapped" {
+	if m := waitMsg(t, b, "g"); string(m.Data) != "rotated" {
 		t.Fatalf("got %q", m.Data)
-	}
-	// The daemon layer reports its own key.
-	if cluster.Daemons[0].Stats().DaemonKeyEpoch == 0 {
-		t.Fatal("daemon keying inactive")
 	}
 }
