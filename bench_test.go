@@ -11,7 +11,6 @@ package repro
 import (
 	"fmt"
 	"math/big"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,8 +18,6 @@ import (
 	_ "repro/internal/cliques"
 	"repro/internal/crypt"
 	"repro/internal/dh"
-	"repro/internal/obs/analyze"
-	"repro/securespread"
 )
 
 var protocols = []string{"cliques", "ckd"}
@@ -182,29 +179,6 @@ func BenchmarkAblationModulusSize(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCipherThroughput measures sustained encrypted multicast
-// throughput for each cipher suite through the full stack — isolating the
-// bulk-privacy cost the paper argues is negligible next to key management.
-func BenchmarkAblationCipherThroughput(b *testing.B) {
-	for _, suite := range []string{"blowfish-cbc", "null"} {
-		for _, size := range []int{64, 1024, 8192} {
-			suite, size := suite, size
-			b.Run(fmt.Sprintf("%s/%dB", suite, size), func(b *testing.B) {
-				count := b.N
-				if count < 50 {
-					count = 50
-				}
-				tp, err := bench.MeasureBulk(securespread.ProtoCliques, suite, 2, size, count)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(tp.MsgsPerSec, "msgs/s")
-				b.ReportMetric(tp.MBPerSec, "MB/s")
-			})
-		}
-	}
-}
-
 // BenchmarkPowGFixedBase compares the generic square-and-multiply
 // exponentiation of the group generator against the precomputed fixed-base
 // comb table PowG now uses on the key-agreement hot path.
@@ -278,26 +252,5 @@ func BenchmarkSealOpen(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestBenchExpReport smoke-tests the measurement behind BENCH_exp.json
-// (`make bench-exp` records it through `sgcbench -exp`): the report
-// writes, and flattens to rows the `sgctrace diff` gate can compare.
-func TestBenchExpReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping perf measurement in -short mode")
-	}
-	rep, err := bench.MeasureExp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "BENCH_exp.json")
-	if err := bench.WriteJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := analyze.LoadRows(path)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("report flattened to %d rows, err %v", len(rows), err)
 	}
 }

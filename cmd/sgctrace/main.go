@@ -1,26 +1,23 @@
 // Command sgctrace is the offline companion of the live introspection
 // endpoints: it scrapes causal traces and metrics from a running cluster,
 // decomposes every rekey into its phases across nodes, flags anomalies,
-// and gates benchmark files against a baseline.
+// and extracts each rekey's causal critical path.
 //
 // Usage:
 //
 //	sgctrace collect -out bundle.json [-group G] d01=http://host:port ...
 //	sgctrace report [-json] [-group G] [-stall 2s] FILE|BUNDLE_DIR
-//	sgctrace diff [-ratio R] [-floor F] [-count-tol 0] OLD.json NEW.json
+//	sgctrace crit [-json] [-group G] FILE|BUNDLE_DIR
 //
 // collect fetches /trace and /metrics from each named debug endpoint
 // (spreadd -debug-addr) into one snapshot bundle; an unreachable node is
 // recorded as unhealthy rather than failing the collection. report accepts
 // a bundle, a flight-recorder bundle directory (it reads the bundle.json
-// inside and prints the trigger reason and alerts), a raw /trace payload
-// (or bare event array), or a BENCH_rekey.json sweep file, and prints the
-// per-class/per-size phase decomposition, the correlated rekeys, and any
-// anomalies. diff compares two bench files of the same kind (BENCH_rekey,
-// BENCH_wire, BENCH_throughput or BENCH_exp) and exits nonzero when a
-// tracked metric regressed: deterministic counts (exponentiations, encoded
-// frame sizes, allocations) exactly, timings and rates by a generous ratio
-// with noise floors (see analyze.Diff for the gates and their defaults).
+// inside and prints the trigger reason and alerts), or a raw /trace payload
+// (or bare event array), and prints the per-class/per-size phase
+// decomposition, the correlated rekeys, and any anomalies. crit takes the
+// same inputs and prints every rekey's critical path and any causal-order
+// violations, exiting nonzero on a violation.
 package main
 
 import (
@@ -52,12 +49,6 @@ func main() {
 		err = cmdReport(os.Args[2:])
 	case "crit":
 		err = cmdCrit(os.Args[2:])
-	case "diff":
-		var regs []analyze.Regression
-		regs, err = cmdDiff(os.Args[2:], os.Stdout)
-		if err == nil && len(regs) > 0 {
-			os.Exit(1)
-		}
 	case "-h", "-help", "--help":
 		usage()
 		return
@@ -76,8 +67,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   sgctrace collect -out bundle.json [-group G] name=http://addr ...
   sgctrace report [-json] [-group G] [-stall 2s] FILE|BUNDLE_DIR
-  sgctrace crit [-json] [-group G] FILE|BUNDLE_DIR
-  sgctrace diff [-ratio R] [-floor F] [-count-tol 0] OLD.json NEW.json`)
+  sgctrace crit [-json] [-group G] FILE|BUNDLE_DIR`)
 }
 
 // ---- collect ----
@@ -188,9 +178,6 @@ func report(w io.Writer, path string, jsonOut bool, opt analyze.Options) error {
 	if err != nil {
 		return err
 	}
-	if in.bench != nil {
-		return benchReport(w, in.bench, jsonOut)
-	}
 	if in.bundle != nil && !jsonOut {
 		if in.bundle.Reason != "" {
 			fmt.Fprintf(w, "flight bundle: %s\n", in.bundle.Reason)
@@ -218,46 +205,15 @@ func report(w io.Writer, path string, jsonOut bool, opt analyze.Options) error {
 	return nil
 }
 
-func benchReport(w io.Writer, b *analyze.RekeyBench, jsonOut bool) error {
-	if jsonOut {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(b)
-	}
-	fmt.Fprintf(w, "== rekey sweep: sizes %v, batch %d ==\n", b.Sizes, b.Batch)
-	protos := make([]string, 0, len(b.Protocols))
-	for p := range b.Protocols {
-		protos = append(protos, p)
-	}
-	// Two protocols at most; keep "cliques" before "ckd" alphabetical-free.
-	if len(protos) == 2 && protos[0] > protos[1] {
-		protos[0], protos[1] = protos[1], protos[0]
-	}
-	for _, p := range protos {
-		fmt.Fprintf(w, "\n-- %s --\n", p)
-		analyze.WriteSummaryTable(w, b.Protocols[p].Phases)
-		if exps := b.Protocols[p].Exps; len(exps) > 0 {
-			fmt.Fprintln(w, "serial exponentiations:")
-			for _, e := range exps {
-				fmt.Fprintf(w, "  n=%-3d join=%d (ctrl %d, new %d)  leave=%d  ctrl-leave=%d\n",
-					e.N, e.JoinSerial, e.JoinController, e.JoinNewMember,
-					e.LeaveSerial, e.CtrlLeaveSerial)
-			}
-		}
-	}
-	return nil
-}
-
 // input is one decoded report file, whichever shape it had.
 type input struct {
 	events []obs.Event
 	bundle *analyze.Bundle
-	bench  *analyze.RekeyBench
 }
 
 // loadInput reads a report input and detects its shape: a collect bundle,
-// a flight-recorder bundle directory, a BENCH_rekey.json sweep, a /trace
-// payload, or a bare event array.
+// a flight-recorder bundle directory, a /trace payload, or a bare event
+// array.
 func loadInput(path string) (*input, error) {
 	if st, err := os.Stat(path); err == nil && st.IsDir() {
 		// A flight-recorder bundle directory: the trace lives in its
@@ -281,12 +237,6 @@ func loadInput(path string) (*input, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	switch {
-	case probe["protocols"] != nil:
-		var b analyze.RekeyBench
-		if err := json.Unmarshal(data, &b); err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return &input{bench: &b}, nil
 	case probe["nodes"] != nil:
 		var b analyze.Bundle
 		if err := json.Unmarshal(data, &b); err != nil {
@@ -300,42 +250,7 @@ func loadInput(path string) (*input, error) {
 		}
 		return &input{events: tp.Events}, nil
 	}
-	return nil, fmt.Errorf("%s: unrecognized input (want a bundle, trace payload, event array, or BENCH_rekey.json)", path)
-}
-
-// ---- diff ----
-
-func cmdDiff(args []string, w io.Writer) ([]analyze.Regression, error) {
-	fs := flag.NewFlagSet("diff", flag.ContinueOnError)
-	ratio := fs.Float64("ratio", 0, "regression ratio for every timing and rate metric (0: each gate's default, x10 for times, /3 for rates)")
-	floor := fs.Float64("floor", 0, "ignore changes below this, in the metric's unit (0: each gate's default, 50 ms / 2000 ns / 500 msgs/s; negative disables)")
-	countTol := fs.Int("count-tol", 0, "allowed growth of a deterministic count")
-	if err := fs.Parse(args); err != nil {
-		return nil, err
-	}
-	if fs.NArg() != 2 {
-		return nil, fmt.Errorf("diff: want OLD.json NEW.json")
-	}
-	oldPath, newPath := fs.Arg(0), fs.Arg(1)
-	oldRows, err := analyze.LoadRows(oldPath)
-	if err != nil {
-		return nil, err
-	}
-	newRows, err := analyze.LoadRows(newPath)
-	if err != nil {
-		return nil, err
-	}
-	regs := analyze.Diff(oldRows, newRows, analyze.DiffOptions{
-		Ratio: *ratio, Floor: *floor, CountTolerance: *countTol})
-	if len(regs) == 0 {
-		fmt.Fprintf(w, "ok: no regressions (%s vs %s)\n", newPath, oldPath)
-		return nil, nil
-	}
-	for _, r := range regs {
-		fmt.Fprintln(w, r.String())
-	}
-	fmt.Fprintf(w, "%d regression(s) vs %s\n", len(regs), oldPath)
-	return regs, nil
+	return nil, fmt.Errorf("%s: unrecognized input (want a bundle, trace payload, or event array)", path)
 }
 
 // ---- crit ----
@@ -357,9 +272,6 @@ func cmdCrit(args []string) error {
 	in, err := loadInput(fs.Arg(0))
 	if err != nil {
 		return err
-	}
-	if in.bench != nil {
-		return fmt.Errorf("crit: %s is a bench sweep, not a trace", fs.Arg(0))
 	}
 	events := obs.FilterGroup(in.events, *group)
 	paths := analyze.CriticalPaths(events)

@@ -2,8 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -142,105 +140,5 @@ func TestCollectAllUnreachable(t *testing.T) {
 	b := collect(cl, []obs.Endpoint{{Name: "d1", Addr: dead.URL}}, "")
 	if b.Healthy() != 0 || len(b.Nodes) != 1 || b.Nodes[0].Error == "" {
 		t.Fatalf("bundle = %+v", b)
-	}
-}
-
-func benchFixture(totalMs float64, joinSerial int) *analyze.RekeyBench {
-	return &analyze.RekeyBench{
-		Sizes: []int{2, 4},
-		Batch: 3,
-		Protocols: map[string]*analyze.ProtoBench{
-			"cliques": {
-				Phases: []analyze.ClassSummary{{
-					Proto: "cliques", Class: "join", Size: 4, Rekeys: 3, Records: 12,
-					TotalP50Ms: totalMs,
-					Mean: analyze.Phases{FlushMs: totalMs / 4, KGAMs: totalMs / 2,
-						TotalMs: totalMs},
-				}},
-				Exps: []analyze.ExpRow{{N: 4, JoinController: 5, JoinNewMember: 7,
-					JoinSerial: joinSerial, LeaveSerial: 4, CtrlLeaveSerial: 6}},
-			},
-		},
-	}
-}
-
-func writeBench(t *testing.T, name string, b *analyze.RekeyBench) string {
-	t.Helper()
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestDiffFiles drives `sgctrace diff` over real files (the gate
-// semantics themselves are pinned row by row in analyze.TestDiff): each
-// bench kind loads and gates, and explicit flags reach every gate.
-func TestDiffFiles(t *testing.T) {
-	write := func(name, body string) string {
-		path := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	rate := func(v int) string {
-		return fmt.Sprintf(`{"throughput":[{"proto":"cliques","suite":"blowfish-cbc","members":2,"msg_size":256,"msgs_per_sec":%d}]}`, v)
-	}
-	wire := func(bytes, encNs int) string {
-		return fmt.Sprintf(`{"codec":[{"kind":"data","codec_bytes":%d,"codec_encode_ns":%d}],"latency":[]}`, bytes, encNs)
-	}
-	rekey := writeBench(t, "rekey.json", benchFixture(20, 12))
-	for _, c := range []struct {
-		name     string
-		args     []string
-		old, new string
-		want     string // substring of the one expected regression; "" = passes
-	}{
-		{"rekey identical", nil, rekey, rekey, ""},
-		{"rekey count +1", nil, rekey, writeBench(t, "exps.json", benchFixture(20, 13)), "exp/cliques/n4/join_serial"},
-		{"wire bytes +1", nil, write("w0.json", wire(20, 100)), write("w1.json", wire(21, 100)), "wire/data/codec_bytes"},
-		{"rate halved passes at the default /3", nil, write("r0.json", rate(60000)), write("r1.json", rate(30000)), ""},
-		{"rate collapse", nil, write("r0.json", rate(60000)), write("r1.json", rate(9000)), "throughput/cliques/blowfish-cbc/m2/size256/msgs_per_sec"},
-		// At the parent commit an explicit -ratio 10 on a throughput file was
-		// taken for the flag default and replaced by 3.
-		{"explicit -ratio 10 tolerates /4", []string{"-ratio", "10"}, write("r0.json", rate(60000)), write("r1.json", rate(15000)), ""},
-		{"explicit -ratio 1.5 catches /2", []string{"-ratio", "1.5"}, write("r0.json", rate(60000)), write("r1.json", rate(30000)), "msgs_per_sec"},
-		// ... and -floor never reached nanosecond rows.
-		{"ns growth under the default floor", nil, write("w0.json", wire(20, 100)), write("w1.json", wire(20, 1900)), ""},
-		{"explicit -floor reaches ns rows", []string{"-floor", "1000"}, write("w0.json", wire(20, 100)), write("w1.json", wire(20, 1900)), "wire/data/codec_encode_ns"},
-		{"different kinds share no metric", nil, rekey, write("r0.json", rate(60000)), "coverage/comparable_metrics"},
-	} {
-		var out strings.Builder
-		regs, err := cmdDiff(append(c.args, c.old, c.new), &out)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if c.want == "" && len(regs) != 0 || c.want != "" && (len(regs) != 1 || !strings.Contains(regs[0].Metric, c.want)) {
-			t.Errorf("%s: regressions %v, want %q\n%s", c.name, regs, c.want, out.String())
-		}
-	}
-	if _, err := cmdDiff([]string{rekey, write("junk.json", `{"x":1}`)}, io.Discard); err == nil {
-		t.Error("unrecognized file accepted")
-	}
-}
-
-// TestReportOnBenchFile checks report's third input shape: a sweep file
-// renders its per-class/per-size tables and exponentiation rows.
-func TestReportOnBenchFile(t *testing.T) {
-	path := writeBench(t, "bench.json", benchFixture(20, 12))
-	var sb strings.Builder
-	if err := report(&sb, path, false, analyze.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"-- cliques --", "join", "serial exponentiations", "n=4", "join=12"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("bench report missing %q:\n%s", want, out)
-		}
 	}
 }

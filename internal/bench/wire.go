@@ -5,17 +5,41 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/obs/analyze"
 	"repro/securespread"
 )
+
+// LatencyPoint is one Figure 5 data point: the end-to-end latency of
+// messages of Size bytes through the full secure stack (multicast send at
+// one member to delivery at a second).
+type LatencyPoint struct {
+	Size   int
+	P50Ms  float64
+	MeanMs float64
+	MaxMs  float64
+}
+
+// waitSecured consumes a session's events until a secure view with n
+// members arrives.
+func waitSecured(s *securespread.Session, n int, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		ev, ok := s.Receive(time.Until(deadline))
+		if !ok {
+			break
+		}
+		if v, isView := ev.(securespread.SecureView); isView && len(v.Members) == n {
+			return nil
+		}
+	}
+	return fmt.Errorf("bench: %s: no %d-member secure view", s.Name(), n)
+}
 
 // MeasureWireLatencySweep boots one 2-member secure group and measures
 // per-message delivery latency at each payload size (the paper's Figure 5
 // shape): from send at one member to delivery at the other through the
 // full stack — seal, wire encode, transport, decode, open, VS delivery.
-// Messages go out one at a time (latency, not throughput — MeasureBulk
-// covers rates).
-func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]analyze.WireLatencyPoint, error) {
+// Messages go out one at a time: this is latency, not throughput.
+func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]LatencyPoint, error) {
 	cluster, err := securespread.NewLocalClusterConfig(2, benchConfig())
 	if err != nil {
 		return nil, err
@@ -42,7 +66,7 @@ func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]analyze.Wi
 		}
 	}
 
-	var out []analyze.WireLatencyPoint
+	var out []LatencyPoint
 	for _, size := range sizes {
 		payload := make([]byte, size)
 		for i := range payload {
@@ -66,13 +90,13 @@ func MeasureWireLatencySweep(suite string, sizes []int, count int) ([]analyze.Wi
 				}
 			}
 		}
-		out = append(out, summarizeLatency(suite, size, lat))
+		out = append(out, summarizeLatency(size, lat))
 	}
 	return out, nil
 }
 
-func summarizeLatency(suite string, size int, lat []float64) analyze.WireLatencyPoint {
-	p := analyze.WireLatencyPoint{Suite: suite, Size: size, Count: len(lat)}
+func summarizeLatency(size int, lat []float64) LatencyPoint {
+	p := LatencyPoint{Size: size}
 	if len(lat) == 0 {
 		return p
 	}

@@ -223,6 +223,18 @@ func TestChaosCausalTraceOnViolation(t *testing.T) {
 	if h, ok := res.Metrics.Histograms["rekey_latency"]; !ok || h.Count == 0 {
 		t.Errorf("rekey_latency histogram missing or empty: %+v", res.Metrics.Histograms)
 	}
+	classes := 0
+	for name, h := range res.Metrics.Histograms {
+		if strings.HasPrefix(name, "rekey_latency{") && h.Count > 0 {
+			classes++
+		}
+	}
+	if classes == 0 {
+		t.Errorf("no per-class rekey_latency{class} histograms: %+v", res.Metrics.Histograms)
+	}
+	if h := res.Metrics.Histograms["flush_round_duration"]; h.Count == 0 {
+		t.Error("flush_round_duration histogram missing or empty")
+	}
 	if res.Metrics.Counters["dh_exp_total"] == 0 {
 		t.Error("dh_exp_total counter is zero: counter mirroring is not wired")
 	}

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs"
 )
 
 func allSuites(t testing.TB, secret, context []byte) map[string]Suite {
@@ -309,6 +311,30 @@ func TestSealOpenAllocs(t *testing.T) {
 		if lim := limits[name]; seal > lim.seal || open > lim.open {
 			t.Errorf("%s: Seal %v allocs (limit %v), Open %v allocs (limit %v)", name, seal, lim.seal, open, lim.open)
 		}
+	}
+}
+
+// TestSealOpenCounters checks the process-global throughput counters: one
+// Seal and one Open raise crypt_seal_msgs and crypt_open_msgs by exactly 1.
+func TestSealOpenCounters(t *testing.T) {
+	s, err := NewSuite(SuiteAESCTR, []byte("the group secret value"), []byte("grp/epoch1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := func() (seal, open int64) {
+		c := obs.Default.Snapshot().Counters
+		return c["crypt_seal_msgs"], c["crypt_open_msgs"]
+	}
+	seal0, open0 := counters()
+	frame, err := s.Seal([]byte("hello"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Open(frame); err != nil {
+		t.Fatal(err)
+	}
+	if seal, open := counters(); seal-seal0 != 1 || open-open0 != 1 {
+		t.Errorf("crypt_seal_msgs +%d, crypt_open_msgs +%d; want +1 each", seal-seal0, open-open0)
 	}
 }
 

@@ -45,13 +45,14 @@ func fmtMs(v float64) string {
 	}
 }
 
-// WriteSummaryTable renders per-class/per-size phase summaries as the
-// report's decomposition table. sgctrace reuses it for BENCH_rekey.json
-// files, which carry summaries without the underlying trace.
-func WriteSummaryTable(w io.Writer, summary []ClassSummary) {
+// WriteText renders the report for humans: the phase-decomposition summary
+// table (the shape of the paper's figures), one line per correlated rekey,
+// and the anomaly list.
+func (r *Report) WriteText(w io.Writer) {
+	fmt.Fprintln(w, "== rekey phase decomposition (per class and group size) ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "proto\tclass\tsize\trekeys\trecords\tp50\tp95\tmax\tflush\talign\tkga\tinstall\tfirst-send\tkga-rounds\tshares f/a/k/i")
-	for _, s := range summary {
+	for _, s := range r.Summary {
 		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%.1f\t%.0f/%.0f/%.0f/%.0f%%\n",
 			s.Proto, s.Class, s.Size, s.Rekeys, s.Records,
 			fmtMs(s.TotalP50Ms), fmtMs(s.TotalP95Ms), fmtMs(s.TotalMaxMs),
@@ -60,14 +61,6 @@ func WriteSummaryTable(w io.Writer, summary []ClassSummary) {
 			s.Share.Flush*100, s.Share.Align*100, s.Share.KGA*100, s.Share.Install*100)
 	}
 	tw.Flush()
-}
-
-// WriteText renders the report for humans: the phase-decomposition summary
-// table (the shape of the paper's figures), one line per correlated rekey,
-// and the anomaly list.
-func (r *Report) WriteText(w io.Writer) {
-	fmt.Fprintln(w, "== rekey phase decomposition (per class and group size) ==")
-	WriteSummaryTable(w, r.Summary)
 
 	fmt.Fprintf(w, "\n== correlated rekeys (%d) ==\n", len(r.Rekeys))
 	for _, rk := range r.Rekeys {

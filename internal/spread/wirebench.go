@@ -7,18 +7,19 @@ import (
 )
 
 // WireCodecStat records one wire kind's frame size and encode/decode
-// cost. Exported so cmd/sgcbench can regenerate BENCH_wire.json without
-// reaching into unexported wire types.
+// cost. Exported so the benchmark's wirecodec kernels can time the codec
+// without reaching into unexported wire types.
 type WireCodecStat struct {
-	Kind       string  `json:"kind"`
-	CodecBytes int     `json:"codec_bytes"`
-	CodecEncNs float64 `json:"codec_encode_ns"`
-	CodecDecNs float64 `json:"codec_decode_ns"`
+	Kind       string
+	CodecBytes int
+	CodecEncNs float64
+	CodecDecNs float64
 }
 
 // wireBenchMessages returns one representative message per steady-state
 // wire kind (membership-protocol kinds included: they dominate view
-// changes, the paper's expensive path).
+// changes, the paper's expensive path). TestWireFrameSizes pins each
+// one's encoded size.
 func wireBenchMessages() []*wireMsg {
 	v := ViewID{Epoch: 3, Coord: "daemon-00"}
 	data := make([]byte, 1024)

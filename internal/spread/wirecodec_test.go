@@ -144,6 +144,34 @@ func TestEncodeWireRejectsUnknownKinds(t *testing.T) {
 	}
 }
 
+// TestWireFrameSizes pins the encoded size of each representative wire
+// message. Sizes are deterministic codec properties, so a wire-format
+// change must edit this table on purpose.
+func TestWireFrameSizes(t *testing.T) {
+	want := map[string]int{
+		"heartbeat": 21,
+		"data":      1074,
+		"propose":   6,
+		"sync":      37,
+		"syncack":   1087,
+		"install":   1120,
+		"nack":      28,
+	}
+	msgs := wireBenchMessages()
+	if len(msgs) != len(want) {
+		t.Fatalf("%d representative messages, table has %d", len(msgs), len(want))
+	}
+	for _, m := range msgs {
+		enc, err := encodeWire(nil, m, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kindName(m.Kind), err)
+		}
+		if got := len(enc); got != want[kindName(m.Kind)] {
+			t.Errorf("%s frame: %d bytes, want %d", kindName(m.Kind), got, want[kindName(m.Kind)])
+		}
+	}
+}
+
 // legacyWire returns one frame in each retired format — gob, and the
 // extension-less [Magic][0x01] preamble — kept in the fuzz corpora as
 // must-reject seeds.
