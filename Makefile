@@ -1,7 +1,7 @@
 GO ?= go
 
 .PHONY: check vet no-gob layering build test race chaos chaos-tcp chaos-tcp-short \
-	obs-smoke mon-smoke crit-smoke
+	obs-smoke mon-smoke crit-smoke fuzz-smoke
 
 ## check: the full local gate — vet, the one-wire-format guard (no-gob),
 ## the DESIGN.md §6 import graph (layering), build, tests, the race suite
@@ -31,7 +31,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dh ./internal/cliques ./internal/crypt \
+	$(GO) test -race ./internal/dh ./internal/cliques ./internal/blowfish ./internal/crypt \
 		./internal/spread ./internal/flush ./internal/core \
 		./internal/transport/... ./internal/obs/... ./cmd/sgcmon
 
@@ -61,6 +61,14 @@ chaos-tcp-short:
 crit-smoke:
 	$(GO) test -timeout 300s -count=1 ./internal/obs/causal ./internal/chaos \
 		-run 'TestHappensBefore|TestCheck|TestCriticalPath|TestLookup|TestBuild|TestChaosCausalDifferential|TestChaosCriticalPathConnected'
+
+## fuzz-smoke: ten seconds of coverage-guided fuzzing each for the
+## Blowfish-CBC kernel against crypto/cipher's CBC (FuzzCBC) and for the
+## suites' seal/open round trip (FuzzSuiteRoundTrip). Kept out of `check`
+## so the local gate stays fast; CI runs it as its own step.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCBC$$' -fuzztime 10s ./internal/blowfish
+	$(GO) test -run '^$$' -fuzz '^FuzzSuiteRoundTrip$$' -fuzztime 10s ./internal/crypt
 
 ## obs-smoke: boot a 3-daemon TCP cluster with -debug-addr and embedded
 ## secure clients, curl the introspection endpoints, then run the sgctrace

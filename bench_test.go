@@ -229,28 +229,31 @@ func BenchmarkExpBatchParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSealOpen measures one Seal+Open round trip per cipher suite.
-// Allocation counts are the interesting metric (b.ReportAllocs).
+// BenchmarkSealOpen measures one Seal+Open round trip per cipher suite at
+// 1 KiB and at 8 KiB (the benchmark's bulk_8k message). Blowfish-CBC is the
+// paper's bulk cipher; allocation counts are reported (b.ReportAllocs).
 func BenchmarkSealOpen(b *testing.B) {
 	secret := []byte("benchmark-group-secret-material!")
-	for _, suite := range []string{"aes-ctr"} {
+	for _, suite := range []string{crypt.SuiteBlowfish, crypt.SuiteAESCTR} {
 		s, err := crypt.NewSuite(suite, secret, []byte("bench"))
 		if err != nil {
 			b.Fatal(err)
 		}
-		msg := make([]byte, 1024)
-		b.Run(suite, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				frame, err := s.Seal(msg)
-				if err != nil {
-					b.Fatal(err)
+		for _, size := range []int{1024, 8192} {
+			msg := make([]byte, size)
+			b.Run(fmt.Sprintf("%s/%dB", suite, size), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(size))
+				for b.Loop() {
+					frame, err := s.Seal(msg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := s.Open(frame); err != nil {
+						b.Fatal(err)
+					}
 				}
-				if _, err := s.Open(frame); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -128,10 +128,10 @@ func NewSuite(name string, secret, context []byte) (Suite, error) {
 	return ctor(NewKDF(secret, context))
 }
 
-// cbcSuite is the CBC + HMAC-SHA256 encrypt-then-MAC suite (Blowfish-CBC).
+// cbcSuite is the Blowfish-CBC + HMAC-SHA256 encrypt-then-MAC suite. It
+// runs blowfish's fused CBC kernel directly on the frame buffers.
 type cbcSuite struct {
-	name  string
-	block cipher.Block
+	block *blowfish.Cipher
 	mac   *macPool
 }
 
@@ -146,22 +146,18 @@ func newBlowfishCBC(km io.Reader) (Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCBC(SuiteBlowfish, blk, km)
-}
-
-func newCBC(name string, blk cipher.Block, km io.Reader) (Suite, error) {
 	macKey := make([]byte, 32)
 	if _, err := io.ReadFull(km, macKey); err != nil {
 		return nil, fmt.Errorf("derive mac key: %w", err)
 	}
-	return &cbcSuite{name: name, block: blk, mac: newMACPool(macKey)}, nil
+	return &cbcSuite{block: blk, mac: newMACPool(macKey)}, nil
 }
 
-func (s *cbcSuite) Name() string { return s.name }
+func (s *cbcSuite) Name() string { return SuiteBlowfish }
 
 func (s *cbcSuite) Overhead() int {
 	// IV + up to one block of padding + MAC.
-	return 2*s.block.BlockSize() + macSize
+	return 2*blowfish.BlockSize + macSize
 }
 
 func (s *cbcSuite) Seal(plaintext []byte) ([]byte, error) {
@@ -173,7 +169,7 @@ func (s *cbcSuite) Seal(plaintext []byte) ([]byte, error) {
 // SealAppend implements AppendSealer: the frame is built in dst's spare
 // capacity, allocating only if dst is too small.
 func (s *cbcSuite) SealAppend(dst, plaintext []byte) ([]byte, error) {
-	bs := s.block.BlockSize()
+	const bs = blowfish.BlockSize
 	padN := bs - len(plaintext)%bs
 	bodyLen := bs + len(plaintext) + padN
 	dst = slices.Grow(dst, bodyLen+macSize)
@@ -188,13 +184,14 @@ func (s *cbcSuite) SealAppend(dst, plaintext []byte) ([]byte, error) {
 	for i := len(plaintext); i < len(padded); i++ {
 		padded[i] = byte(padN)
 	}
-	cipher.NewCBCEncrypter(s.block, iv).CryptBlocks(padded, padded)
+	s.block.EncryptCBC(iv, padded)
 	countSeal(len(plaintext))
 	return s.mac.sumAppend(dst, frame), nil
 }
 
+// Open verifies the MAC, then decrypts, then unpads.
 func (s *cbcSuite) Open(frame []byte) ([]byte, error) {
-	bs := s.block.BlockSize()
+	const bs = blowfish.BlockSize
 	if len(frame) < bs+bs+macSize {
 		return nil, ErrShortFrame
 	}
@@ -208,7 +205,7 @@ func (s *cbcSuite) Open(frame []byte) ([]byte, error) {
 		return nil, ErrShortFrame
 	}
 	pt := make([]byte, len(ct))
-	cipher.NewCBCDecrypter(s.block, body[:bs]).CryptBlocks(pt, ct)
+	s.block.DecryptCBC(body[:bs], pt, ct)
 	countOpen(len(frame))
 	return unpad(pt, bs)
 }
@@ -321,17 +318,6 @@ func (s *nullSuite) Open(frame []byte) ([]byte, error) {
 	copy(out, body)
 	countOpen(len(frame))
 	return out, nil
-}
-
-// pad applies PKCS#7 padding to a full multiple of bs.
-func pad(data []byte, bs int) []byte {
-	n := bs - len(data)%bs
-	out := make([]byte, len(data)+n)
-	copy(out, data)
-	for i := len(data); i < len(out); i++ {
-		out[i] = byte(n)
-	}
-	return out
 }
 
 // unpad strips and validates PKCS#7 padding.

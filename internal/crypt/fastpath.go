@@ -37,12 +37,6 @@ func (p *macPool) get() hash.Hash {
 
 func (p *macPool) put(m hash.Hash) { p.pool.Put(m) }
 
-// appendTag appends the HMAC tag over frame to frame (which must have
-// macSize spare capacity to stay allocation-free).
-func (p *macPool) appendTag(frame []byte) []byte {
-	return p.sumAppend(frame, frame)
-}
-
 // sumAppend appends the HMAC tag over body to dst (which must have macSize
 // spare capacity to stay allocation-free). body is typically a tail region
 // of dst, as in the SealAppend fast paths.
