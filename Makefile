@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet no-gob layering build test race chaos chaos-tcp chaos-tcp-short \
+.PHONY: check vet no-gob layering one-injector build test race chaos chaos-tcp chaos-tcp-short \
 	obs-smoke mon-smoke crit-smoke fuzz-smoke
 
 ## check: the full local gate — vet, the one-wire-format guard (no-gob),
-## the DESIGN.md §6 import graph (layering), build, tests, the race suite
+## the DESIGN.md §6 import graph (layering), the one-fault-injector guard
+## (one-injector), build, tests, the race suite
 ## on the packages with concurrency-sensitive fast paths, a short chaos
 ## schedule replayed over real TCP sockets, and the causal-order gate.
 ## Performance is gated by the benchmark (`bash benchmark/run.sh`) and the
 ## exact-count tests, not here.
-check: vet no-gob layering build test race chaos-tcp-short crit-smoke
+check: vet no-gob layering one-injector build test race chaos-tcp-short crit-smoke
 
 vet:
 	$(GO) vet ./...
@@ -23,6 +24,12 @@ no-gob:
 ## or cipher code — keys live in the client library (DESIGN.md §6).
 layering:
 	@deps=$$($(GO) list -deps ./internal/transport ./internal/spread ./internal/flush) && ! echo "$$deps" | grep -E '^repro/internal/(ckd|cliques|crypt|blowfish|core)$$'
+
+## one-injector: faults live only in internal/transport/faultnet
+## (DESIGN.md §11); no other non-test file defines a fault-injection
+## method, so MemNetwork stays a plain FIFO fabric.
+one-injector:
+	@! grep -rnE --include='*.go' '^func \([^)]*\) (Partition|Heal|SetDropRate|SetLatency|SetSeed)\(' . | grep -v -e '_test\.go:' -e '^\./internal/transport/faultnet/'
 
 build:
 	$(GO) build ./...

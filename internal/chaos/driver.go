@@ -251,29 +251,11 @@ func parseProbe(data []byte) (sender string, epoch uint64, digest string, ok boo
 	return parts[1], epoch, parts[3], true
 }
 
-// faultNetwork is the fault surface the driver needs from its substrate:
-// MemNetwork provides it natively, faultnet.Net provides it over real TCP.
-type faultNetwork interface {
-	transport.Network
-	SetSeed(uint64)
-	SetLatency(time.Duration)
-	SetDropRate(perMillion int)
-	Partition(groups ...[]string)
-	Heal()
-	Crash(name string)
-}
-
-var (
-	_ faultNetwork = (*transport.MemNetwork)(nil)
-	_ faultNetwork = (*faultnet.Net)(nil)
-)
-
 // driver executes a schedule against a live cluster.
 type driver struct {
 	cfg      Config
 	sched    *Schedule
-	net      faultNetwork
-	fnet     *faultnet.Net // non-nil in TCP (proxy) mode
+	net      *faultnet.Net // interface mode over mem, proxy mode over TCP
 	daemons  map[string]*spread.Daemon
 	clients  map[string]*client // by schedule name, alive only
 	departed []*client          // disconnected/left/crashed clients (logs kept)
@@ -317,7 +299,7 @@ func Replay(cfg Config, sched *Schedule) (*Result, error) {
 	}
 	switch cfg.Transport {
 	case "mem":
-		d.net = transport.NewMemNetwork()
+		d.net = faultnet.New(transport.NewMemNetwork(), cfg.Seed)
 	case "tcp":
 		addrs := make(map[string]string, len(sched.Daemons))
 		for _, name := range sched.Daemons {
@@ -335,11 +317,10 @@ func Replay(cfg Config, sched *Schedule) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: tcp proxy: %w", err)
 		}
-		d.net, d.fnet = fn, fn
+		d.net = fn
 	default:
 		return nil, fmt.Errorf("chaos: unknown transport %q", cfg.Transport)
 	}
-	d.net.SetSeed(cfg.Seed)
 	defer d.stopAll()
 
 	for _, name := range sched.Daemons {
@@ -618,11 +599,9 @@ func (d *driver) apply(ev Event) {
 	case EvLatency:
 		d.net.SetLatency(ev.Delay)
 	case EvReset:
-		// A live-connection reset only exists on a connection-oriented
-		// substrate; the mem network has no sockets to kill.
-		if d.fnet != nil {
-			d.fnet.Reset(ev.Daemon, ev.Peer)
-		}
+		// Kills the live sockets over TCP; over mem there are none, so
+		// the reset is only traced.
+		d.net.Reset(ev.Daemon, ev.Peer)
 	case EvSend:
 		if c := d.clients[ev.Client]; c != nil {
 			d.sendProbe(c)
@@ -815,7 +794,5 @@ func (d *driver) stopAll() {
 	for _, dm := range d.daemons {
 		dm.Stop()
 	}
-	if d.fnet != nil {
-		d.fnet.Close()
-	}
+	d.net.Close()
 }

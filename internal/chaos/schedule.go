@@ -1,7 +1,8 @@
 // Package chaos is a deterministic fault-injection harness for the secure
 // group communication stack: a seeded schedule generator plus a cluster
-// driver that replays the schedule against live daemons and clients over
-// transport.MemNetwork and then checks global, cluster-wide invariants
+// driver that replays the schedule against live daemons and clients, with
+// faults injected by faultnet over transport.MemNetwork (or over TCP
+// through faultnet's relay), and then checks global, cluster-wide invariants
 // (view agreement, key agreement, key freshness, VS safety, and
 // exponentiation accounting).
 //

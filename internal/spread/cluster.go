@@ -5,13 +5,16 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/transport/faultnet"
 )
 
 // Cluster bundles a set of daemons over a shared in-memory network: the
 // testbed equivalent used by tests, examples and the benchmark harness
-// (the paper ran three daemons on three machines).
+// (the paper ran three daemons on three machines). Net is the fault
+// injector (partitions, crashes, drops, latency) over a fault-free
+// transport.MemNetwork; it injects nothing until told to.
 type Cluster struct {
-	Net     *transport.MemNetwork
+	Net     *faultnet.Net
 	Daemons []*Daemon
 	cfg     Config
 }
@@ -19,7 +22,7 @@ type Cluster struct {
 // NewCluster starts n daemons named d00..d(n-1) on a fresh in-memory
 // network and waits until they install a common view.
 func NewCluster(n int, cfg Config) (*Cluster, error) {
-	net := transport.NewMemNetwork()
+	net := faultnet.New(transport.NewMemNetwork(), 0)
 	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("d%02d", i)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/transport"
+	"repro/internal/transport/faultnet"
 )
 
 // TestConcurrentJoinsAgreeOnOrder is the regression test for the stamp bug:
@@ -63,7 +64,7 @@ func TestConcurrentJoinsAgreeOnOrder(t *testing.T) {
 // a daemon fail-stops, its clients vanish, and a fresh daemon under the
 // same name rejoins the overlay and hosts new clients.
 func TestDaemonCrashAndRecover(t *testing.T) {
-	net := transport.NewMemNetwork()
+	net := faultnet.New(transport.NewMemNetwork(), 0)
 	names := []string{"d00", "d01", "d02"}
 	var daemons []*Daemon
 	for _, name := range names {

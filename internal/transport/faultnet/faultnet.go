@@ -1,18 +1,22 @@
-// Package faultnet is a deterministic, seed-driven fault injector for any
-// transport.Network: per-link drop, duplicate, delay, partition, crash, and
-// (in proxy mode) connection reset, driven by the same splitmix64 streams
-// as the chaos schedule generator so a seed replays the identical fault
-// pattern.
+// Package faultnet is the repo's one fault injector, a deterministic,
+// seed-driven layer over any transport.Network: per-link drop, duplicate,
+// delay, partition, crash, and (in proxy mode) connection reset, driven by
+// the same splitmix64 streams as the chaos schedule generator so a seed
+// replays the identical fault pattern. The networks underneath are
+// fault-free.
 //
-// Two modes share one fault surface (the same method set as
-// transport.MemNetwork, plus Reset):
+// Two modes share one fault surface:
 //
 //   - Interface mode (New): wraps any Network and applies faults at the
-//     Send boundary. Cheap, works with MemNetwork or TCP alike.
+//     Send boundary. The in-memory testbed (spread.Cluster) and the chaos
+//     harness's mem transport run on it over transport.MemNetwork.
 //   - Proxy mode (NewTCPProxy, proxy.go): interposes a frame-aware
 //     localhost TCP relay on every link, so drops, partitions, and resets
 //     hit real sockets — the kernel's connection state, the transport's
 //     redial supervisor, and the coalescing write path all see the fault.
+//
+// Both modes keep every link FIFO: an injected latency delays a link's
+// frames without reordering them.
 //
 // Determinism: every link ("from|to" pair) owns a private splitmix64
 // stream seeded seed^fnv64(link), and each decision consumes a fixed number of
@@ -24,7 +28,6 @@ package faultnet
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 	"sync"
 	"time"
 
@@ -38,13 +41,12 @@ type Net struct {
 
 	mu       sync.Mutex
 	seed     uint64
-	links    map[string]*link
+	links    map[linkKey]*link
 	comp     map[string]int // partition component per endpoint
 	crashed  map[string]bool
-	names    map[string]bool  // every endpoint ever attached
 	nodes    map[string]*node // live attached endpoints
-	dropPM   int             // drop probability out of 1e6
-	dupPM    int             // duplicate probability out of 1e6
+	dropPM   int              // drop probability out of 1e6
+	dupPM    int              // duplicate probability out of 1e6
 	latency  time.Duration
 	trace    []string
 	proxies  map[string]*relay // proxy mode only
@@ -57,40 +59,60 @@ func New(inner transport.Network, seed uint64) *Net {
 	return &Net{
 		inner:   inner,
 		seed:    seed,
-		links:   make(map[string]*link),
+		links:   make(map[linkKey]*link),
 		comp:    make(map[string]int),
 		crashed: make(map[string]bool),
-		names:   make(map[string]bool),
 		nodes:   make(map[string]*node),
 	}
 }
 
-// link is the per-direction fault state: a private splitmix64 stream plus a
-// send counter.
+type linkKey struct{ from, to string }
+
+// link is the per-direction fault state: a private splitmix64 stream and a
+// send counter (both guarded by Net.mu), plus the frames waiting out an
+// injected latency in interface mode.
 type link struct {
 	rng rng
 	seq int
+
+	mu      sync.Mutex // held across the inner Send, so deliveries keep their order
+	pending []delayed
+}
+
+// delayed is a frame queued on a link behind an injected latency.
+type delayed struct {
+	via  transport.Node // the sender's inner endpoint
+	data []byte
+	dup  bool
+}
+
+func linkRNG(seed uint64, k linkKey) rng {
+	h := fnv.New64a()
+	h.Write([]byte(k.from))
+	h.Write([]byte{'|'})
+	h.Write([]byte(k.to))
+	return rng{state: seed ^ h.Sum64()}
 }
 
 func (n *Net) link(from, to string) *link {
-	key := from + "|" + to
-	l, ok := n.links[key]
+	k := linkKey{from, to}
+	l, ok := n.links[k]
 	if !ok {
-		h := fnv.New64a()
-		h.Write([]byte(key))
-		l = &link{rng: rng{state: n.seed ^ h.Sum64()}}
-		n.links[key] = l
+		l = &link{rng: linkRNG(n.seed, k)}
+		n.links[k] = l
 	}
 	return l
 }
 
-// SetSeed reseeds every link stream (existing links restart their streams;
-// the send counters reset too). Mirrors MemNetwork.SetSeed.
+// SetSeed reseeds every link stream: existing links restart their streams
+// and send counters. Frames already waiting out a latency keep their place.
 func (n *Net) SetSeed(seed uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.seed = seed
-	n.links = make(map[string]*link)
+	for k, l := range n.links {
+		l.rng, l.seq = linkRNG(seed, k), 0
+	}
 }
 
 // SetLatency sets a fixed one-way delay applied to every delivery.
@@ -117,9 +139,8 @@ func (n *Net) SetDupRate(perMillion int) {
 	n.dupPM = perMillion
 }
 
-// Partition splits the endpoints into components exactly like
-// MemNetwork.Partition: listed groups stay internally reachable, everyone
-// else becomes a singleton.
+// Partition splits the endpoints into components: listed groups stay
+// internally reachable, everyone else becomes a singleton.
 func (n *Net) Partition(groups ...[]string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -155,9 +176,9 @@ func (n *Net) Reachable(a, b string) bool {
 	return oka && okb && ca == cb && !n.crashed[a] && !n.crashed[b]
 }
 
-// Crash fail-stops an endpoint: every message to or from it is dropped and,
-// in proxy mode, its relay kills the live connections. The name becomes
-// attachable again (crash-and-recover).
+// Crash fail-stops an endpoint: it is detached, every message to or from
+// it is dropped and, in proxy mode, its relay kills the live connections.
+// The name becomes attachable again (crash-and-recover).
 func (n *Net) Crash(name string) {
 	n.mu.Lock()
 	n.crashed[name] = true
@@ -170,10 +191,7 @@ func (n *Net) Crash(name string) {
 		r.setUpstream("") // relay refuses traffic until re-attach
 	}
 	if nd != nil {
-		_ = nd.inner.Close() // detach for real: listener and links die
-	}
-	if mn, ok := n.inner.(*transport.MemNetwork); ok {
-		mn.Crash(name)
+		_ = nd.inner.Close() // detach for real: queues, listener and links die
 	}
 }
 
@@ -196,44 +214,37 @@ func (n *Net) TraceString() string {
 	return string(b)
 }
 
-// Links lists every link that has made at least one fault decision, sorted.
-func (n *Net) Links() []string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]string, 0, len(n.links))
-	for k := range n.links {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // decision is the fault verdict for one message on one link.
 type decision struct {
+	pass    bool // proxy mode, at Send: the relays decide
 	drop    bool
 	dup     bool
 	latency time.Duration
+	link    *link
 }
 
 // decide consumes a fixed two draws from the link's stream (drop, dup) so
 // the stream position depends only on the link's send count, never on the
 // rates in effect — toggling a fault on and off mid-run cannot desync a
-// replay.
-func (n *Net) decide(from, to string) decision {
+// replay. Called at Send in proxy mode, it draws nothing and returns pass.
+func (n *Net) decide(from, to string, atSend bool) decision {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.crashed[from] || n.crashed[to] {
-		return decision{drop: true}
+	if atSend && n.proxies != nil {
+		return decision{pass: true}
 	}
-	if cf, ct := n.comp[from], n.comp[to]; cf != ct {
+	// Crash moves a name from comp to crashed and Attach moves it back, so
+	// only a name missing from comp can be crashed.
+	cf, okf := n.comp[from]
+	ct, okt := n.comp[to]
+	if (!okf && n.crashed[from]) || (!okt && n.crashed[to]) || cf != ct {
 		return decision{drop: true}
 	}
 	l := n.link(from, to)
 	l.seq++
 	dropDraw := l.rng.next() % 1_000_000
 	dupDraw := l.rng.next() % 1_000_000
-	var d decision
-	d.latency = n.latency
+	d := decision{latency: n.latency, link: l}
 	if n.dropPM > 0 && dropDraw < uint64(n.dropPM) {
 		d.drop = true
 		n.trace = append(n.trace, fmt.Sprintf("%s->%s #%d drop", from, to, l.seq))
@@ -259,7 +270,6 @@ func (n *Net) Attach(name string, h transport.Handler) (transport.Node, error) {
 	n.mu.Lock()
 	delete(n.crashed, name)
 	n.comp[name] = 0
-	n.names[name] = true
 	n.nodes[name] = nd
 	r := n.proxies[name]
 	tcp := n.tcp
@@ -285,46 +295,61 @@ var _ transport.Node = (*node)(nil)
 
 func (nd *node) Name() string { return nd.name }
 
+// Close crashes the endpoint if this handle still holds its name. A stale
+// handle, closed after its name was crashed and attached again, closes
+// only its own inner endpoint and leaves the new one running.
 func (nd *node) Close() error {
-	nd.net.mu.Lock()
-	crashed := nd.net.crashed[nd.name]
-	nd.net.mu.Unlock()
-	if !crashed {
-		nd.net.Crash(nd.name)
+	n := nd.net
+	n.mu.Lock()
+	live := n.nodes[nd.name] == nd
+	n.mu.Unlock()
+	if live {
+		n.Crash(nd.name)
 	}
 	return nd.inner.Close()
 }
 
 func (nd *node) Send(to string, data []byte) error {
-	if nd.net.isProxy() {
-		return nd.inner.Send(to, data) // relays decide in proxy mode
-	}
-	d := nd.net.decide(nd.name, to)
-	if d.drop {
+	d := nd.net.decide(nd.name, to, true)
+	switch {
+	case d.pass:
+		return nd.inner.Send(to, data)
+	case d.drop:
 		return nil
 	}
-	if d.latency > 0 {
-		cp := append([]byte(nil), data...)
-		dup := d.dup
-		time.AfterFunc(d.latency, func() {
-			_ = nd.inner.Send(to, cp)
-			if dup {
-				_ = nd.inner.Send(to, cp)
-			}
-		})
-		return nil
-	}
-	err := nd.inner.Send(to, data)
-	if d.dup {
-		_ = nd.inner.Send(to, data)
-	}
-	return err
+	return d.link.send(nd.inner, to, data, d)
 }
 
-func (n *Net) isProxy() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.proxies != nil
+// send delivers one frame in link order. A frame with no latency to wait
+// out goes straight through unless earlier frames are still pending; then
+// it queues behind them. Every timer delivers the queue's head, not its
+// own frame, so frames leave in send order whatever order the timers run.
+func (l *link) send(via transport.Node, to string, data []byte, d decision) error {
+	l.mu.Lock()
+	if d.latency == 0 && len(l.pending) == 0 {
+		defer l.mu.Unlock()
+		err := via.Send(to, data)
+		if d.dup {
+			_ = via.Send(to, data)
+		}
+		return err
+	}
+	l.pending = append(l.pending, delayed{via: via, data: append([]byte(nil), data...), dup: d.dup})
+	l.mu.Unlock()
+	time.AfterFunc(d.latency, func() { l.deliverHead(to) })
+	return nil
+}
+
+func (l *link) deliverHead(to string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	f := l.pending[0]
+	l.pending[0] = delayed{}
+	l.pending = l.pending[1:]
+	_ = f.via.Send(to, f.data)
+	if f.dup {
+		_ = f.via.Send(to, f.data)
+	}
 }
 
 // rng is splitmix64, matching internal/chaos: stable across platforms and

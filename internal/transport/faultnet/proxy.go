@@ -272,7 +272,7 @@ func (r *relay) serve(in net.Conn) {
 			r.byPeer[peer] = p
 			r.mu.Unlock()
 		}
-		d := r.net.decide(from, r.name)
+		d := r.net.decide(from, r.name, false)
 		if d.drop {
 			continue
 		}

@@ -30,12 +30,17 @@ func leakCheck(t *testing.T) {
 	})
 }
 
-// memCleanup crashes the named mem endpoints at test end so their delivery
+// memCleanup closes the named mem endpoints at test end so their delivery
 // goroutines exit and leakCheck sees a clean count.
 func memCleanup(t *testing.T, net *MemNetwork, names ...string) {
 	t.Cleanup(func() {
 		for _, n := range names {
-			net.Crash(n)
+			net.mu.Lock()
+			node := net.nodes[n]
+			net.mu.Unlock()
+			if node != nil {
+				node.Close()
+			}
 		}
 	})
 }

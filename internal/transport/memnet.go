@@ -3,69 +3,26 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
-// MemNetwork is an in-memory Network with controllable faults. It is the
-// testbed substitute: partitions split the endpoints into components that
-// cannot exchange messages; Heal undoes them; Crash drops an endpoint
-// entirely (fail-stop); latency delays every delivery by a fixed amount to
-// model LAN round trips.
+// MemNetwork is an in-memory Network: a reliable FIFO fabric between the
+// endpoints attached to it, with no faults of its own. It is the testbed
+// substitute; tests inject partitions, crashes, drops and latency by
+// wrapping it in faultnet.
 type MemNetwork struct {
-	mu      sync.Mutex
-	nodes   map[string]*memNode
-	comp    map[string]int // partition component per endpoint; same id = reachable
-	latency time.Duration
-	// DropRate, out of 1e6, drops messages at random when nonzero. Links
-	// stop being reliable, which the layers above must survive only via
-	// membership churn; used for fault-injection tests.
-	dropRate int
-	rngState uint64
+	mu    sync.Mutex
+	nodes map[string]*memNode
 }
-
-// defaultRNGSeed seeds the drop-decision stream when SetSeed was never
-// called (or was called with zero, the xorshift fixed point).
-const defaultRNGSeed = 0x9e3779b97f4a7c15
 
 // NewMemNetwork creates an empty in-memory network.
 func NewMemNetwork() *MemNetwork {
-	return &MemNetwork{
-		nodes:    make(map[string]*memNode),
-		comp:     make(map[string]int),
-		rngState: defaultRNGSeed,
-	}
+	return &MemNetwork{nodes: make(map[string]*memNode)}
 }
 
 var _ Network = (*MemNetwork)(nil)
 
-// SetSeed reseeds the pseudo-random stream that decides message drops, so
-// fault schedules replay deterministically: two networks seeded alike make
-// identical drop decisions for the same sequence of sends. A zero seed
-// (the xorshift fixed point) selects the default seed.
-func (n *MemNetwork) SetSeed(seed uint64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if seed == 0 {
-		seed = defaultRNGSeed
-	}
-	n.rngState = seed
-}
-
-// SetLatency sets the one-way delivery delay applied to every message.
-func (n *MemNetwork) SetLatency(d time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.latency = d
-}
-
-// SetDropRate sets the probability (out of 1e6) that a message is lost.
-func (n *MemNetwork) SetDropRate(perMillion int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.dropRate = perMillion
-}
-
-// Attach implements Network.
+// Attach implements Network. A name becomes attachable again once the
+// endpoint holding it is closed.
 func (n *MemNetwork) Attach(name string, h Handler) (Node, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -80,79 +37,13 @@ func (n *MemNetwork) Attach(name string, h Handler) (Node, error) {
 		done:    make(chan struct{}),
 	}
 	n.nodes[name] = node
-	n.comp[name] = 0
 	go node.run()
 	return node, nil
-}
-
-// Partition splits the network into the given components: endpoints listed
-// together stay mutually reachable; endpoints in different groups (or not
-// listed) are cut off from each other. Unlisted endpoints each form their
-// own singleton component.
-func (n *MemNetwork) Partition(groups ...[]string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	next := 1
-	for name := range n.comp {
-		n.comp[name] = -next // unique singleton components by default
-		next++
-	}
-	for i, g := range groups {
-		for _, name := range g {
-			if _, ok := n.comp[name]; ok {
-				n.comp[name] = i + 1
-			}
-		}
-	}
-}
-
-// Heal reconnects every endpoint into one component.
-func (n *MemNetwork) Heal() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for name := range n.comp {
-		n.comp[name] = 0
-	}
-}
-
-// Crash fail-stops an endpoint: it is detached and all queued messages are
-// dropped. The name becomes reusable (crash-and-recover).
-func (n *MemNetwork) Crash(name string) {
-	n.mu.Lock()
-	node := n.nodes[name]
-	delete(n.nodes, name)
-	delete(n.comp, name)
-	n.mu.Unlock()
-	if node != nil {
-		node.stop()
-	}
-}
-
-// Reachable reports whether two endpoints can currently exchange messages.
-func (n *MemNetwork) Reachable(a, b string) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	ca, oka := n.comp[a]
-	cb, okb := n.comp[b]
-	return oka && okb && ca == cb
-}
-
-// xorshift PRNG for drop decisions (deterministic given call order; not
-// crypto, just fault injection).
-func (n *MemNetwork) dropLocked() bool {
-	if n.dropRate <= 0 {
-		return false
-	}
-	n.rngState ^= n.rngState << 13
-	n.rngState ^= n.rngState >> 7
-	n.rngState ^= n.rngState << 17
-	return int(n.rngState%1_000_000) < n.dropRate
 }
 
 type delivery struct {
 	from string
 	data []byte
-	at   time.Time
 }
 
 type memNode struct {
@@ -169,61 +60,53 @@ var _ Node = (*memNode)(nil)
 
 func (m *memNode) Name() string { return m.name }
 
-// Send implements Node. Reachability and drops are evaluated at send time;
-// a partition that forms after a message is queued does not claw it back
-// (messages in flight may still arrive, as on a real network).
+// Send implements Node. A send to a name nobody holds is a silent drop. A
+// closed endpoint gets ErrClosed even once its name is attached again:
+// the check is on this handle, not the name.
 func (m *memNode) Send(to string, data []byte) error {
 	n := m.net
 	n.mu.Lock()
-	dst, ok := n.nodes[to]
-	if !ok || n.comp[m.name] != n.comp[to] {
-		n.mu.Unlock()
-		return nil // unreachable: silent drop
-	}
-	if _, self := n.nodes[m.name]; !self {
+	if n.nodes[m.name] != m {
 		n.mu.Unlock()
 		return ErrClosed
 	}
-	if n.dropLocked() {
-		n.mu.Unlock()
+	dst, ok := n.nodes[to]
+	n.mu.Unlock()
+	if !ok {
 		return nil
 	}
-	at := time.Now().Add(n.latency)
-	n.mu.Unlock()
 
 	// Copy: the sender may reuse its buffer.
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	select {
-	case dst.queue <- delivery{from: m.name, data: cp, at: at}:
+	case dst.queue <- delivery{from: m.name, data: cp}:
 	case <-dst.done:
 	}
 	return nil
 }
 
+// Close detaches the endpoint and drops its queued deliveries. The name is
+// released only if this handle still holds it, so closing a stale handle
+// leaves a re-attached endpoint alone.
 func (m *memNode) Close() error {
-	m.net.Crash(m.name)
+	n := m.net
+	n.mu.Lock()
+	if n.nodes[m.name] == m {
+		delete(n.nodes, m.name)
+	}
+	n.mu.Unlock()
+	m.once.Do(func() { close(m.done) })
 	return nil
 }
 
-func (m *memNode) stop() {
-	m.once.Do(func() { close(m.done) })
-}
-
-// run delivers queued messages in order, honoring per-message latency.
+// run delivers queued messages in order.
 func (m *memNode) run() {
 	for {
 		select {
 		case <-m.done:
 			return
 		case d := <-m.queue:
-			if wait := time.Until(d.at); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-m.done:
-					return
-				}
-			}
 			m.handler.HandleMessage(d.from, d.data)
 		}
 	}

@@ -2,10 +2,11 @@
 // the group communication system: reliable FIFO links between named
 // endpoints.
 //
-// Two implementations are provided. MemNetwork is an in-memory network with
-// fault injection (partitions, healing, crashes, per-link latency) — the
-// testbed substitute used by the test suite and the benchmark harness. The
-// TCP transport in tcp.go runs real daemons across machines.
+// Two implementations are provided. MemNetwork is a fault-free in-memory
+// FIFO fabric — the testbed substitute used by the test suite and the
+// benchmark harness. The TCP transport in tcp.go runs real daemons across
+// machines. Faults (partitions, crashes, drops, latency) are injected over
+// either one by the faultnet sub-package, and only there.
 //
 // The contract both implementations honor: while two endpoints are mutually
 // reachable, messages between them are delivered reliably and in FIFO order

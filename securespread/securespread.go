@@ -91,8 +91,9 @@ type Daemon = spread.Daemon
 // defaults.
 type DaemonConfig = spread.Config
 
-// Cluster is a set of daemons over an in-memory network with fault
-// injection (partitions, crashes, latency) — the testbed substitute.
+// Cluster is a set of daemons over an in-memory network — the testbed
+// substitute. Its Net field injects faults (partitions, crashes, drops,
+// latency) through faultnet.
 type Cluster = spread.Cluster
 
 // NewLocalCluster starts n daemons on an in-memory network and waits for
