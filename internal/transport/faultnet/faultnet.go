@@ -13,7 +13,7 @@
 //   - Proxy mode (NewTCPProxy, proxy.go): interposes a frame-aware
 //     localhost TCP relay on every link, so drops, partitions, and resets
 //     hit real sockets — the kernel's connection state, the transport's
-//     redial supervisor, and the coalescing write path all see the fault.
+//     redial supervisor, and the batched write path all see the fault.
 //
 // Both modes keep every link FIFO: an injected latency delays a link's
 // frames without reordering them.

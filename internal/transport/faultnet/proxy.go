@@ -260,9 +260,12 @@ func (r *relay) serve(in net.Conn) {
 		p.close()
 		r.untrack(p, peer)
 	}()
+	// Read like the transport's own read loop; faults are still decided,
+	// and latency slept, one frame at a time.
+	rd := transport.NewFrameReader(in)
 	var buf []byte
 	for {
-		from, data, err := transport.ReadFrame(in)
+		from, data, err := transport.ReadFrame(rd)
 		if err != nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -41,6 +42,13 @@ func AppendFrame(dst []byte, from string, data []byte) ([]byte, error) {
 	dst = append(dst, from...)
 	dst = append(dst, data...)
 	return dst, nil
+}
+
+// NewFrameReader wraps a connection for ReadFrame, as the TCP read loop and
+// the faultnet relay both read: one read syscall serves every frame of a
+// writev batch.
+func NewFrameReader(conn io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(conn, readChunk)
 }
 
 // fromPool recycles the scratch buffer the sender name is read into (the

@@ -23,16 +23,17 @@ import (
 //
 // Each outbound link is owned by a per-peer supervisor goroutine (see
 // tcpPeer): Send never dials and never blocks on the socket, it appends the
-// encoded frame to a bounded per-peer queue. The supervisor drains the
-// queue in coalesced writev batches, redials with exponential backoff and
-// jitter when the connection is down, bounds every dial and write with a
-// deadline, and reports link transitions to handlers implementing
-// PeerWatcher.
+// encoded frame to a bounded per-peer queue. The supervisor writes the
+// queue as soon as it holds frames — frames that arrive during a write go
+// out together as the next writev batch — redials with exponential backoff
+// and jitter when the connection is down, bounds every dial and write with
+// a deadline, and reports link transitions to handlers implementing
+// PeerWatcher. The receive side reads frames through a buffered reader, so
+// one read syscall serves every frame a batch delivered.
 type TCPNetwork struct {
 	mu     sync.Mutex
 	addrs  map[string]string // dial book: where peers reach an endpoint
 	listen map[string]string // listen overrides (see SetListenAddr)
-	delay  time.Duration     // small-frame coalescing deadline; <= 0 disables
 	tun    TCPTuning
 }
 
@@ -41,7 +42,7 @@ type TCPNetwork struct {
 type TCPTuning struct {
 	// DialTimeout bounds one dial attempt (default 2s).
 	DialTimeout time.Duration
-	// WriteTimeout bounds one coalesced write; an expired deadline drops
+	// WriteTimeout bounds one batch write; an expired deadline drops
 	// the connection (default 2s).
 	WriteTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential redial backoff
@@ -95,18 +96,8 @@ func NewTCPNetwork(addrs map[string]string) *TCPNetwork {
 	return &TCPNetwork{
 		addrs:  book,
 		listen: make(map[string]string),
-		delay:  coalesceDelay,
 		tun:    TCPTuning{}.withDefaults(),
 	}
-}
-
-// SetCoalesceDelay adjusts the small-frame coalescing deadline for peers
-// created after the call; zero or negative flushes every batch immediately.
-// The default is coalesceDelay.
-func (t *TCPNetwork) SetCoalesceDelay(d time.Duration) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.delay = d
 }
 
 // SetTuning replaces the supervisor tuning for peers created after the
@@ -131,7 +122,7 @@ func (t *TCPNetwork) Attach(name string, h Handler) (Node, error) {
 	if !hasOverride {
 		laddr = t.addrs[name]
 	}
-	delay, tun := t.delay, t.tun
+	tun := t.tun
 	t.mu.Unlock()
 	if laddr == "" {
 		return nil, fmt.Errorf("transport: no address configured for %s", name)
@@ -160,7 +151,6 @@ func (t *TCPNetwork) Attach(name string, h Handler) (Node, error) {
 		name:     name,
 		handler:  h,
 		ln:       ln,
-		delay:    delay,
 		tun:      tun,
 		counters: newTCPCounters(reg),
 		peers:    make(map[string]*tcpPeer),
@@ -231,7 +221,6 @@ type tcpNode struct {
 	handler  Handler
 	watcher  PeerWatcher // nil unless the handler wants link events
 	ln       net.Listener
-	delay    time.Duration
 	tun      TCPTuning
 	counters tcpCounters
 
@@ -372,8 +361,9 @@ func (n *tcpNode) readLoop(conn net.Conn) {
 		delete(n.accepted, conn)
 		n.mu.Unlock()
 	}()
+	r := NewFrameReader(conn)
 	for {
-		from, data, err := ReadFrame(conn)
+		from, data, err := ReadFrame(r)
 		if err != nil {
 			return
 		}
@@ -386,19 +376,9 @@ func (n *tcpNode) readLoop(conn net.Conn) {
 	}
 }
 
-const (
-	// coalesceFlush is the batch size beyond which the supervisor writes
-	// immediately instead of waiting the coalescing deadline; coalesceDelay
-	// bounds how long a lone small frame can wait, so a burst of small
-	// frames (heartbeat fan-out, data multicast) costs one writev, not one
-	// syscall per frame.
-	coalesceFlush = 4 << 10
-	coalesceDelay = 500 * time.Microsecond
-
-	// maxPooledFrame caps the encoded-frame buffers kept in the pool so a
-	// rare giant frame does not pin its allocation forever.
-	maxPooledFrame = 64 << 10
-)
+// maxPooledFrame caps the encoded-frame buffers kept in the pool so a rare
+// giant frame does not pin its allocation forever.
+const maxPooledFrame = 64 << 10
 
 // framePool recycles encoded-frame buffers between Send and the supervisor
 // write loop.
@@ -475,12 +455,12 @@ func (p *tcpPeer) enqueue(frame []byte) {
 }
 
 // take removes every queued frame.
-func (p *tcpPeer) take() ([][]byte, int) {
+func (p *tcpPeer) take() [][]byte {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q, n := p.q, p.qBytes
+	q := p.q
 	p.q, p.qBytes = nil, 0
-	return q, n
+	return q
 }
 
 func (p *tcpPeer) hasPending() bool {
@@ -537,7 +517,7 @@ func (p *tcpPeer) notify(up bool) {
 	}
 }
 
-// pause sleeps for d, aborting early when the node closes.
+// pause sleeps one redial backoff, aborting early when the node closes.
 func (p *tcpPeer) pause(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -577,7 +557,10 @@ func (p *tcpPeer) run() {
 }
 
 // drain writes queued frames until the queue is empty; false means the node
-// is closing and the supervisor must exit.
+// is closing and the supervisor must exit. Each pass writes whatever is
+// queued at once; frames enqueued while that write is in the kernel form the
+// next pass's batch, so batches grow with load while a lone frame on an idle
+// link is never held back.
 func (p *tcpPeer) drain() bool {
 	for {
 		select {
@@ -601,19 +584,9 @@ func (p *tcpPeer) drain() bool {
 				continue // no address yet: queue discarded, park
 			}
 		}
-		batch, nbytes := p.take()
+		batch := p.take()
 		if len(batch) == 0 {
 			return true
-		}
-		// Small-batch coalescing: wait out the deadline for stragglers so
-		// a burst of small frames goes out in one writev.
-		if nbytes < coalesceFlush && p.node.delay > 0 {
-			if !p.pause(p.node.delay) {
-				recycleFrames(batch)
-				return false
-			}
-			more, _ := p.take()
-			batch = append(batch, more...)
 		}
 		err := p.write(c, batch)
 		recycleFrames(batch)
@@ -636,7 +609,8 @@ func (p *tcpPeer) current() net.Conn {
 	return p.conn
 }
 
-// write sends one coalesced batch with a write deadline.
+// write sends one batch with a write deadline: a lone frame with one Write,
+// several with one writev.
 func (p *tcpPeer) write(c net.Conn, batch [][]byte) error {
 	_ = c.SetWriteDeadline(time.Now().Add(p.tun.WriteTimeout))
 	if len(batch) == 1 {
@@ -666,9 +640,7 @@ func (p *tcpPeer) redial() net.Conn {
 		}
 		addr := p.node.net.Addr(p.name)
 		if addr == "" {
-			for _, f := range p.take2() {
-				putFrame(f)
-			}
+			recycleFrames(p.take())
 			return nil
 		}
 		p.node.counters.dialAttempts.Inc()
@@ -695,11 +667,6 @@ func (p *tcpPeer) redial() net.Conn {
 		}
 		backoff = min(2*backoff, p.tun.BackoffMax)
 	}
-}
-
-func (p *tcpPeer) take2() [][]byte {
-	q, _ := p.take()
-	return q
 }
 
 func recycleFrames(batch [][]byte) {

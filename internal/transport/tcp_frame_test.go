@@ -3,8 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestAppendFrameRejectsLongFrom pins the fix for a silent corruption: a
@@ -46,7 +49,7 @@ func TestAppendFrameRejectsOversizedPayload(t *testing.T) {
 }
 
 // TestAppendFrameRoundTrip: frames appended back to back split correctly on
-// the read side (the invariant the coalescing writev path relies on).
+// the read side (the invariant the writev batch path relies on).
 func TestAppendFrameRoundTrip(t *testing.T) {
 	var wire []byte
 	var err error
@@ -138,5 +141,57 @@ func TestReadFrameLargePayloadRoundTrip(t *testing.T) {
 	}
 	if from != "sender" || !bytes.Equal(data, payload) {
 		t.Fatalf("large frame corrupted: from=%q len=%d", from, len(data))
+	}
+}
+
+// TestReadFrameBufferedReader: the TCP read loop and the faultnet relay
+// read frames through NewFrameReader's bufio.Reader. Whatever chunking the
+// socket delivers — the whole stream, one byte at a time, half of each request —
+// the same frames come out, and a returned payload never aliases the
+// reader's buffer: every payload is checked only after the whole stream,
+// whose later frames recycle that buffer, has been read.
+func TestReadFrameBufferedReader(t *testing.T) {
+	sizes := []int{0, 1, 100, 4 << 10, readChunk + 1234, 17, readChunk - 6, 3, 900}
+	var wire []byte
+	payloads := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		payloads[i] = bytes.Repeat([]byte{byte('a' + i)}, n)
+		var err error
+		wire, err = AppendFrame(wire, fmt.Sprintf("n%d", i), payloads[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	sources := map[string]func(io.Reader) io.Reader{
+		"whole":    func(r io.Reader) io.Reader { return r },
+		"one-byte": iotest.OneByteReader,
+		"half":     iotest.HalfReader,
+	}
+	for name, wrap := range sources {
+		t.Run(name, func(t *testing.T) {
+			r := NewFrameReader(wrap(bytes.NewReader(wire)))
+			var froms []string
+			var datas [][]byte
+			for {
+				from, data, err := ReadFrame(r)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("frame %d: %v", len(datas), err)
+				}
+				froms = append(froms, from)
+				datas = append(datas, data)
+			}
+			if len(datas) != len(sizes) {
+				t.Fatalf("read %d frames, want %d", len(datas), len(sizes))
+			}
+			for i := range datas {
+				if want := fmt.Sprintf("n%d", i); froms[i] != want || !bytes.Equal(datas[i], payloads[i]) {
+					t.Fatalf("frame %d changed after later reads: from=%q len=%d, want from=%q len=%d",
+						i, froms[i], len(datas[i]), want, len(payloads[i]))
+				}
+			}
+		})
 	}
 }

@@ -27,8 +27,8 @@ func fastTuning() TCPTuning {
 
 // TestTCPRedialAfterAcceptSideRestart kills the accept side mid-stream and
 // asserts the supervisor re-dials: sends after the restart are delivered,
-// and every delivered frame is intact and in order (the coalescing batch
-// state is not corrupted by the write error).
+// and every delivered frame is intact and in order (a batch lost to the
+// write error leaves no partial frame in the queue or on the new stream).
 func TestTCPRedialAfterAcceptSideRestart(t *testing.T) {
 	leakCheck(t)
 	tn := NewTCPNetwork(map[string]string{

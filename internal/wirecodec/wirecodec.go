@@ -34,8 +34,8 @@
 //
 // Pooling. Encoders append into buffers from GetBuf/PutBuf. Buffers handed
 // to transport Send may be recycled as soon as Send returns: both transports
-// copy (MemNetwork into its delivery queue, TCP into the coalescing buffer
-// or the kernel) and never retain the caller's slice.
+// copy (MemNetwork into its delivery queue, TCP into a pooled frame on the
+// peer's send queue) and never retain the caller's slice.
 package wirecodec
 
 import (
