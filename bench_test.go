@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"crypto/rand"
 	"fmt"
 	"math/big"
 	"testing"
@@ -176,6 +177,35 @@ func BenchmarkAblationModulusSize(b *testing.B) {
 				g.Exp(base, exp, nil, "")
 			}
 		})
+	}
+}
+
+// BenchmarkExpExponentLength compares one generic exponentiation by a
+// full-length exponent in [2, q-1] (the paper's share range, and still the
+// range of a controller's share·f mod q) against one by a 256-bit share from
+// NewShare, at each modulus size.
+func BenchmarkExpExponentLength(b *testing.B) {
+	for _, bits := range []int{512, 1024, 2048} {
+		g, err := dh.GroupForBits(bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		full, err := rand.Int(rand.Reader, new(big.Int).Sub(g.Q, big.NewInt(2)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		full.Add(full, big.NewInt(2))
+		base := g.PowG(g.MustShare(), nil, "")
+		for _, c := range []struct {
+			name string
+			exp  *big.Int
+		}{{"full", full}, {"short", g.MustShare()}} {
+			b.Run(fmt.Sprintf("%s/bits%d", c.name, bits), func(b *testing.B) {
+				for b.Loop() {
+					g.Exp(base, c.exp, nil, "")
+				}
+			})
+		}
 	}
 }
 

@@ -36,7 +36,12 @@ type CPUTiming struct {
 
 // ModExpCost measures the unit cost of one modular exponentiation in the
 // group (the paper reports 12 ms on the SPARC and 2.5 ms on the Pentium
-// for a 512-bit modulus).
+// for a 512-bit modulus). The exponent is a share from NewShare, so it is
+// 256 bits long, not the full-length exponent of the paper's Z_q shares:
+// the unit is the cost of the short exponentiations, and JoinExpShare (and
+// Figure 4's modexp-share column) built on it is a lower bound, because a
+// controller's share·f mod q and CKD's reduced blinding exponents stay full
+// length.
 func ModExpCost(g *dh.Group, iters int) time.Duration {
 	base := g.PowG(g.MustShare(), nil, "")
 	exp := g.MustShare()

@@ -35,6 +35,21 @@ func TestFoundSingleton(t *testing.T) {
 	}
 }
 
+func TestLongTermKeysAreShort(t *testing.T) {
+	// The long-term key comes from dh.NewShare, so it is at most 256
+	// bits; a call site drawing its own exponent would be full length.
+	net := kgatest.NewNet(t, ProtoName, testGroup)
+	ms := names(5)
+	net.Grow(ms[:4])
+	net.Add(ms[4])
+	net.MustRun(kga.Event{Type: kga.EvJoin, Members: ms, Joined: ms[4:]}, ms)
+	for _, name := range ms {
+		if got := net.Member(name).(*Member).x.BitLen(); got > 256 {
+			t.Fatalf("%s: long-term key has %d bits, want <= 256", name, got)
+		}
+	}
+}
+
 func TestJoinSequence(t *testing.T) {
 	net := kgatest.NewNet(t, ProtoName, testGroup)
 	ms := names(8)

@@ -91,6 +91,33 @@ func TestGroupKeyIsProductOfShares(t *testing.T) {
 	}
 }
 
+func TestEnginesDrawShortShares(t *testing.T) {
+	// Every exponent the engine draws goes through dh.NewShare, so the
+	// joiner's share and every long-term key are at most 256 bits; the
+	// controller's refreshed share, share·f mod q, is full length, and the key
+	// is still g^(product of shares).
+	net := kgatest.NewNet(t, ProtoName, testGroup)
+	ms := names(5)
+	net.Grow(ms[:4])
+	net.Add(ms[4])
+	keys := net.MustRun(kga.Event{Type: kga.EvJoin, Members: ms, Joined: ms[4:]}, ms)
+	if got := net.Member(ms[4]).(*Member).share.BitLen(); got > 256 {
+		t.Fatalf("joiner's share has %d bits, want <= 256", got)
+	}
+	exp := big.NewInt(1)
+	for _, name := range ms {
+		m := net.Member(name).(*Member)
+		if got := m.x.BitLen(); got > 256 {
+			t.Fatalf("%s: long-term key has %d bits, want <= 256", name, got)
+		}
+		exp.Mul(exp, m.share)
+		exp.Mod(exp, testGroup.Q)
+	}
+	if want := testGroup.PowG(exp, nil, ""); want.Cmp(keys[ms[0]].Secret) != 0 {
+		t.Fatal("group secret != g^(product of shares)")
+	}
+}
+
 func TestLeave(t *testing.T) {
 	net := kgatest.NewNet(t, ProtoName, testGroup)
 	ms := names(6)

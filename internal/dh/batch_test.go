@@ -16,34 +16,31 @@ func withWorkers(n int, f func()) {
 
 func TestExpBatchMatchesSerial(t *testing.T) {
 	g := Group512
-	exp := g.MustShare()
+	exps := []*big.Int{g.MustShare(), fullExponent(t, g)}
 	bases := make(map[string]*big.Int)
 	for i := 0; i < 9; i++ {
 		bases[fmt.Sprintf("m%d", i)] = g.PowG(g.MustShare(), nil, "")
-	}
-
-	want := make(map[string]*big.Int, len(bases))
-	for name, b := range bases {
-		want[name] = new(big.Int).Exp(b, exp, g.P)
 	}
 
 	for _, workers := range []int{1, 2, 8} {
 		workers := workers
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			withWorkers(workers, func() {
-				c := NewCounter()
-				got := g.ExpBatch(bases, exp, c, OpKeyEncrypt)
-				if len(got) != len(bases) {
-					t.Fatalf("got %d entries, want %d", len(got), len(bases))
-				}
-				for name := range bases {
-					if got[name].Cmp(want[name]) != 0 {
-						t.Errorf("entry %s differs from serial Exp", name)
+				for _, exp := range exps {
+					c := NewCounter()
+					got := g.ExpBatch(bases, exp, c, OpKeyEncrypt)
+					if len(got) != len(bases) {
+						t.Fatalf("got %d entries, want %d", len(got), len(bases))
 					}
-				}
-				if c.Get(OpKeyEncrypt) != len(bases) || c.Total() != len(bases) {
-					t.Errorf("counted %d under label, %d total; want %d of each",
-						c.Get(OpKeyEncrypt), c.Total(), len(bases))
+					for name, b := range bases {
+						if want := new(big.Int).Exp(b, exp, g.P); got[name].Cmp(want) != 0 {
+							t.Errorf("%d-bit exponent: entry %s differs from serial Exp", exp.BitLen(), name)
+						}
+					}
+					if c.Get(OpKeyEncrypt) != len(bases) || c.Total() != len(bases) {
+						t.Errorf("counted %d under label, %d total; want %d of each",
+							c.Get(OpKeyEncrypt), c.Total(), len(bases))
+					}
 				}
 			})
 		})
@@ -52,22 +49,26 @@ func TestExpBatchMatchesSerial(t *testing.T) {
 
 func TestExpBatchSliceMatchesSerial(t *testing.T) {
 	g := Group512
-	exp := g.MustShare()
-	var bases []*big.Int
-	for i := 0; i < 7; i++ {
-		bases = append(bases, g.PowG(g.MustShare(), nil, ""))
-	}
-	var serial, parallel []*big.Int
-	c1, c2 := NewCounter(), NewCounter()
-	withWorkers(1, func() { serial = g.ExpBatchSlice(bases, exp, c1, OpShareUpdate) })
-	withWorkers(4, func() { parallel = g.ExpBatchSlice(bases, exp, c2, OpShareUpdate) })
-	for i := range bases {
-		if serial[i].Cmp(parallel[i]) != 0 {
-			t.Errorf("slice entry %d: serial != parallel", i)
+	for _, exp := range []*big.Int{g.MustShare(), fullExponent(t, g)} {
+		var bases []*big.Int
+		for i := 0; i < 7; i++ {
+			bases = append(bases, g.PowG(g.MustShare(), nil, ""))
 		}
-	}
-	if c1.Total() != c2.Total() || c1.Get(OpShareUpdate) != c2.Get(OpShareUpdate) {
-		t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+		var serial, parallel []*big.Int
+		c1, c2 := NewCounter(), NewCounter()
+		withWorkers(1, func() { serial = g.ExpBatchSlice(bases, exp, c1, OpShareUpdate) })
+		withWorkers(4, func() { parallel = g.ExpBatchSlice(bases, exp, c2, OpShareUpdate) })
+		for i := range bases {
+			if serial[i].Cmp(parallel[i]) != 0 {
+				t.Errorf("slice entry %d: serial != parallel", i)
+			}
+			if want := new(big.Int).Exp(bases[i], exp, g.P); serial[i].Cmp(want) != 0 {
+				t.Errorf("slice entry %d: differs from generic Exp", i)
+			}
+		}
+		if c1.Total() != c2.Total() || c1.Get(OpShareUpdate) != c2.Get(OpShareUpdate) {
+			t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+		}
 	}
 }
 
@@ -76,7 +77,8 @@ func TestExpBatchExpsMatchesSerial(t *testing.T) {
 	base := g.PowG(g.MustShare(), nil, "")
 	exps := make(map[string]*big.Int)
 	for i := 0; i < 6; i++ {
-		exps[fmt.Sprintf("m%d", i)] = g.MustShare()
+		exps[fmt.Sprintf("short%d", i)] = g.MustShare()
+		exps[fmt.Sprintf("full%d", i)] = fullExponent(t, g)
 	}
 	var serial, parallel map[string]*big.Int
 	c1, c2 := NewCounter(), NewCounter()

@@ -73,25 +73,72 @@ func TestNewShareRange(t *testing.T) {
 	}
 }
 
-func TestInverseQ(t *testing.T) {
-	g := Group512
-	s := g.MustShare()
-	inv, err := g.InverseQ(s)
+// fullExponent draws uniformly from [2, q-1]: the full-length exponents
+// (a controller's share·f mod q, inverses mod q, CKD's reduced blinding
+// exponents) that production code passes to Exp, PowG and InverseQ
+// beside the short shares NewShare draws.
+func fullExponent(t testing.TB, g *Group) *big.Int {
+	t.Helper()
+	v, err := rand.Int(rand.Reader, new(big.Int).Sub(g.Q, big.NewInt(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := new(big.Int).Mul(s, inv)
-	prod.Mod(prod, g.Q)
-	if prod.Cmp(big.NewInt(1)) != 0 {
-		t.Fatal("s * s^-1 != 1 mod q")
+	return v.Add(v, big.NewInt(2))
+}
+
+func TestNewShareShortExponent(t *testing.T) {
+	for _, g := range []*Group{Group512, Group768, Group1024, Group2048} {
+		seen := make(map[string]bool)
+		for i := 0; i < 256; i++ {
+			s, err := g.NewShare(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Cmp(big.NewInt(1)) <= 0 || s.Cmp(g.Q) >= 0 {
+				t.Fatalf("%d-bit group: share %v outside (1, q)", g.Bits, s)
+			}
+			if s.BitLen() > 256 {
+				t.Fatalf("%d-bit group: share has %d bits, want <= 256", g.Bits, s.BitLen())
+			}
+			if _, err := g.InverseQ(s); err != nil {
+				t.Fatalf("%d-bit group: share not invertible mod q: %v", g.Bits, err)
+			}
+			if seen[s.String()] {
+				t.Fatalf("%d-bit group: share %v drawn twice", g.Bits, s)
+			}
+			seen[s.String()] = true
+		}
+		// Short shares still agree in two-party DH.
+		a, b := g.MustShare(), g.MustShare()
+		k1 := g.Exp(g.PowG(b, nil, ""), a, nil, "")
+		k2 := g.Exp(g.PowG(a, nil, ""), b, nil, "")
+		if k1.Cmp(k2) != 0 {
+			t.Fatalf("%d-bit group: two-party DH keys disagree", g.Bits)
+		}
 	}
-	// Exponentiating by a share and then its inverse is the identity on
-	// subgroup elements: the algebra Cliques MERGE relies on.
-	base := g.PowG(g.MustShare(), nil, "")
-	up := g.Exp(base, s, nil, "")
-	down := g.Exp(up, inv, nil, "")
-	if down.Cmp(base) != 0 {
-		t.Fatal("exp/inverse-exp round trip failed")
+}
+
+func TestInverseQ(t *testing.T) {
+	g := Group512
+	for _, s := range []*big.Int{g.MustShare(), fullExponent(t, g)} {
+		inv, err := g.InverseQ(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prod := new(big.Int).Mul(s, inv)
+		prod.Mod(prod, g.Q)
+		if prod.Cmp(big.NewInt(1)) != 0 {
+			t.Fatal("s * s^-1 != 1 mod q")
+		}
+		// Exponentiating by a share and then its inverse is the
+		// identity on subgroup elements: the algebra Cliques MERGE
+		// relies on.
+		base := g.PowG(g.MustShare(), nil, "")
+		up := g.Exp(base, s, nil, "")
+		down := g.Exp(up, inv, nil, "")
+		if down.Cmp(base) != 0 {
+			t.Fatal("exp/inverse-exp round trip failed")
+		}
 	}
 }
 

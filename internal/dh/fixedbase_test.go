@@ -14,9 +14,11 @@ func TestFixedBaseMatchesGenericExp(t *testing.T) {
 			big.NewInt(2),
 			new(big.Int).Sub(g.Q, big.NewInt(1)),
 			new(big.Int).Set(g.Q),
+			new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)),
+			new(big.Int).Lsh(big.NewInt(1), 256),
 		}
 		for i := 0; i < 32; i++ {
-			exps = append(exps, g.MustShare())
+			exps = append(exps, g.MustShare(), fullExponent(t, g))
 		}
 		for _, e := range exps {
 			want := new(big.Int).Exp(g.G, e, g.P)

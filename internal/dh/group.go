@@ -3,8 +3,10 @@
 // the centralized CKD protocol of Appendix A).
 //
 // The package works in the prime-order subgroup of Z_p* for a safe prime
-// p = 2q + 1. Private shares are exponents in [2, q-1]; public values are
-// subgroup elements. All modular exponentiations can be routed through a
+// p = 2q + 1. Private shares are short exponents, drawn from [2, 2^256)
+// (see NewShare); exponents derived from them, such as products and
+// inverses mod q, range over all of [1, q-1]. Public values are subgroup
+// elements. All modular exponentiations can be routed through a
 // Counter so that the exponentiation accounting of the paper's Tables 2-4 can
 // be regenerated from the implementation rather than re-derived on paper.
 package dh
@@ -116,9 +118,25 @@ func (g *Group) Mul(a, b *big.Int) *big.Int {
 	return v.Mod(v, g.P)
 }
 
-// NewShare draws a uniform private share in [2, q-1] from r.
+// shareBits is the length of a private share. In a safe-prime group the
+// only proper subgroups have order 2 and q, so the van Oorschot–Wiener
+// short-exponent attack does not apply and the best attack on the
+// exponent is Pollard lambda at ~2^(shareBits/2) steps: 2^128, the
+// exponent length RFC 7919 §5.2 sizes for 128-bit security. At 512 and
+// 1024 bits the modulus, not the exponent, is the weaker link.
+const shareBits = 256
+
+// NewShare draws a uniform private share in [2, 2^256) from r, or in
+// [2, q-1] for a group whose q is below 2^256. Every exponent a protocol
+// draws comes from here, so every exponentiation by a fresh share is a
+// short one; exponents computed from shares (share·f mod q, inverses mod q)
+// stay full length, and CheckShare accepts the whole of [2, q-1].
 func (g *Group) NewShare(r io.Reader) (*big.Int, error) {
-	max := new(big.Int).Sub(g.Q, big.NewInt(2)) // size of [2, q-1]
+	bound := new(big.Int).Lsh(big.NewInt(1), shareBits)
+	if bound.Cmp(g.Q) > 0 {
+		bound.Set(g.Q)
+	}
+	max := bound.Sub(bound, big.NewInt(2)) // size of [2, bound)
 	for {
 		v, err := rand.Int(r, max)
 		if err != nil {
