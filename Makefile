@@ -71,14 +71,16 @@ crit-smoke:
 
 ## fuzz-smoke: ten seconds of coverage-guided fuzzing each for the
 ## Blowfish-CBC kernel against crypto/cipher's CBC (FuzzCBC), for the
-## suites' seal/open round trip (FuzzSuiteRoundTrip), and for TCP frame
-## reads through a buffered reader against one-byte reads (FuzzReadFrame).
+## suites' seal/open round trip (FuzzSuiteRoundTrip), for TCP frame
+## reads through a buffered reader against one-byte reads (FuzzReadFrame),
+## and for the group-element Jacobi kernel against big.Jacobi (FuzzJacobi).
 ## Kept out of `check` so the local gate stays fast; CI runs it as its own
 ## step.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCBC$$' -fuzztime 10s ./internal/blowfish
 	$(GO) test -run '^$$' -fuzz '^FuzzSuiteRoundTrip$$' -fuzztime 10s ./internal/crypt
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime 10s ./internal/transport
+	$(GO) test -run '^$$' -fuzz '^FuzzJacobi$$' -fuzztime 10s ./internal/dh
 
 ## obs-smoke: boot a 3-daemon TCP cluster with -debug-addr and embedded
 ## secure clients, curl the introspection endpoints, then run the sgctrace

@@ -233,6 +233,46 @@ func BenchmarkPowGFixedBase(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckElement compares group-element validation through
+// CheckElement, which decides residuosity with the package's word-level
+// Jacobi kernel, against the same range checks around math/big's
+// big.Jacobi. Every key-agreement module validates each received value this
+// way, n² times per Cliques join. Allocation counts are reported.
+func BenchmarkCheckElement(b *testing.B) {
+	one := big.NewInt(1)
+	for _, bits := range []int{512, 1024, 2048} {
+		g, err := dh.GroupForBits(bits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		elems := make([]*big.Int, 64)
+		for i := range elems {
+			elems[i] = g.PowG(g.MustShare(), nil, "")
+		}
+		checks := []struct {
+			name  string
+			check func(v *big.Int) bool
+		}{
+			{"kernel", func(v *big.Int) bool { return g.CheckElement(v) == nil }},
+			{"big", func(v *big.Int) bool {
+				return v.Cmp(one) > 0 && v.Cmp(g.P) < 0 && big.Jacobi(v, g.P) == 1
+			}},
+		}
+		for _, c := range checks {
+			b.Run(fmt.Sprintf("%d/%s", bits, c.name), func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					if !c.check(elems[i%len(elems)]) {
+						b.Fatal("subgroup element rejected")
+					}
+					i++
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkExpBatchParallel measures a 16-entry batch of independent
 // exponentiations — the shape of a Cliques final broadcast or a CKD key
 // distribution for a 16-member group — at pool widths 1 through 8.

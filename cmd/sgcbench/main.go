@@ -258,7 +258,7 @@ func figure4(nmax, step, batch, bits int) error {
 		return err
 	}
 	unit := bench.ModExpCost(group, 16)
-	fmt.Printf("== Figure 4: CPU time of join/leave vs group size (%d-bit modexp = %s; paper: 2.5 ms Pentium / 12 ms SPARC at 512 bits) ==\n", bits, fmtDur(unit))
+	fmt.Printf("== Figure 4: CPU time of join/leave vs group size (%d-bit modexp, 256-bit share exponent = %s; paper: 2.5 ms Pentium / 12 ms SPARC at 512 bits, full-length exponent) ==\n", bits, fmtDur(unit))
 	w := newTab()
 	fmt.Fprintln(w, "protocol\tn\tjoin-cpu\tleave-cpu\tjoin-exps\tmodexp-share")
 	for _, proto := range []string{"cliques", "ckd"} {

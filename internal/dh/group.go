@@ -183,15 +183,19 @@ func (g *Group) ReduceQ(v *big.Int) *big.Int {
 // CheckElement verifies that v is a non-identity element of the order-q
 // subgroup: 1 < v < p and v is a quadratic residue mod p. For a safe prime
 // p = 2q+1 the order-q subgroup is exactly the set of quadratic residues,
-// so the Jacobi symbol decides membership without a modular exponentiation
-// — important because key-agreement modules validate every received value,
-// and an exponentiation here would silently distort the paper's Tables 2-4
-// accounting and the Figure 4 CPU profile.
+// so the Jacobi symbol decides membership without a counted modular
+// exponentiation, which would distort the paper's Tables 2-4 accounting.
+// A Jacobi symbol is not automatically cheap, though: at 1024 bits
+// big.Jacobi costs about as much as one Exp by a 256-bit share and makes
+// ~360 allocations, and key-agreement modules validate every received
+// value, ~n² checks per Cliques join. CheckElement therefore uses the
+// allocation-free word-level kernel jacobi, ~7x faster on a 2-core Xeon VM
+// (BenchmarkCheckElement).
 func (g *Group) CheckElement(v *big.Int) error {
 	if v == nil || v.Cmp(big.NewInt(1)) <= 0 || v.Cmp(g.P) >= 0 {
 		return ErrNotInGroup
 	}
-	if big.Jacobi(v, g.P) != 1 {
+	if jacobi(v, g.P) != 1 {
 		return ErrNotInGroup
 	}
 	return nil

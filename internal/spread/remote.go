@@ -196,7 +196,10 @@ func RemoteConnect(addr, user string) (*RemoteClient, error) {
 	}
 	rc.name = ack.Name
 
+	// The reader is the only sender on events, so it alone closes it, on
+	// exit; shutdown closing it could race a send in the select below.
 	go func() {
+		defer close(rc.events)
 		defer rc.shutdown()
 		for {
 			var r rcReply
@@ -236,11 +239,12 @@ func (rc *RemoteClient) request(r *rcRequest) error {
 	return nil
 }
 
+// shutdown stops the session. Closing the conn ends the reader goroutine,
+// which then closes events.
 func (rc *RemoteClient) shutdown() {
 	rc.closeOnce.Do(func() {
 		close(rc.closed)
 		_ = rc.conn.Close()
-		close(rc.events)
 	})
 }
 

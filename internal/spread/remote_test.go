@@ -1,6 +1,9 @@
 package spread
 
 import (
+	"encoding/gob"
+	"net"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -79,18 +82,24 @@ func TestRemoteClientEndToEnd(t *testing.T) {
 		t.Fatalf("local got %+v", d)
 	}
 
-	// Local -> remote, including unicast.
+	// Local -> remote, including unicast. Nothing orders the FIFO unicast
+	// against the remote's own AGREED self-delivery, so the remote must
+	// receive each exactly once, in either order.
 	if err := local.Unicast(FIFO, "g", remote.Name(), []byte("just you")); err != nil {
 		t.Fatal(err)
 	}
-	for {
-		ev := recvRemote(t, remote, 10*time.Second)
-		if de, ok := ev.(DataEvent); ok {
-			if string(de.Data) != "just you" {
-				t.Fatalf("remote got %q", de.Data)
-			}
-			break
+	wantFrom := map[string]string{"from afar": remote.Name(), "just you": local.Name()}
+	seen := map[string]bool{}
+	for len(seen) < len(wantFrom) {
+		de, ok := recvRemote(t, remote, 10*time.Second).(DataEvent)
+		if !ok {
+			continue
 		}
+		data := string(de.Data)
+		if from, known := wantFrom[data]; !known || de.Sender != from || seen[data] {
+			t.Fatalf("remote got %q from %s (already seen: %v)", data, de.Sender, seen[data])
+		}
+		seen[data] = true
 	}
 
 	// Remote disconnect produces a membership change at the survivor.
@@ -150,6 +159,73 @@ func TestRemoteClientThroughSecureStack(t *testing.T) {
 				t.Fatalf("got %q", de.Data)
 			}
 			break
+		}
+	}
+}
+
+// TestRemoteClientDisconnectWithFullBuffer disconnects remote clients whose
+// event buffer a daemon keeps full while the buffer drains concurrently:
+// the reader goroutine is then mid-send as Disconnect runs, and must never
+// send on a closed events channel. Events must still close.
+func TestRemoteClientDisconnectWithFullBuffer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// A stand-in daemon: acknowledge the connect, then stream data events
+	// until the client goes away.
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				var req rcRequest
+				if err := gob.NewDecoder(conn).Decode(&req); err != nil {
+					return
+				}
+				enc := gob.NewEncoder(conn)
+				if err := enc.Encode(&rcReply{OK: true, Name: "#flood#d00"}); err != nil {
+					return
+				}
+				ev := &DataEvent{Group: "g", Sender: "#src#d00", Data: []byte("x")}
+				for enc.Encode(&rcReply{Data: ev}) == nil {
+				}
+			}()
+		}
+	}()
+
+	for range 30 {
+		rc, err := RemoteConnect(ln.Addr().String(), "flood")
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for len(rc.events) < cap(rc.events) {
+			if time.Now().After(deadline) {
+				t.Fatalf("event buffer holds %d of %d after 10s", len(rc.events), cap(rc.events))
+			}
+			time.Sleep(time.Millisecond)
+		}
+		// Drain, and disconnect once the drain is under way: the reader is
+		// then looping decode -> send, not parked on a full buffer.
+		drained := make(chan struct{})
+		go func() {
+			for range rc.Events() {
+			}
+			close(drained)
+		}()
+		for len(rc.events) > cap(rc.events)/2 {
+			runtime.Gosched()
+		}
+		rc.Disconnect()
+		select {
+		case <-drained:
+		case <-time.After(10 * time.Second):
+			t.Fatal("events not closed after Disconnect")
 		}
 	}
 }
