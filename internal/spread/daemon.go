@@ -97,6 +97,12 @@ type Daemon struct {
 	// groups need a departure announcement.
 	clientGroups map[string]map[string]bool
 
+	// Clock echo debt (see payEcho). sentLTS is the highest Lamport clock
+	// advertised to the view: own data frames carry m.LTS, tick and echo
+	// heartbeats d.lts. echoDue is set by a peer's ordered frame stamped
+	// above it; lastEcho spaces echoes Heartbeat/4 apart.
+	sentLTS  uint64
+	echoDue  bool
 	lastEcho time.Time
 
 	// Submit-ring plumbing: clients push data payloads into their own
@@ -324,6 +330,11 @@ func (d *Daemon) run() {
 	defer d.node.Close()
 	ticker := time.NewTicker(d.cfg.Heartbeat)
 	defer ticker.Stop()
+	// echoWake is non-nil while echoTimer is armed for a deferred echo.
+	echoTimer := time.NewTimer(d.cfg.Heartbeat)
+	echoTimer.Stop()
+	defer echoTimer.Stop()
+	var echoWake <-chan time.Time
 	for {
 		select {
 		case <-d.stop:
@@ -352,6 +363,15 @@ func (d *Daemon) run() {
 			fn()
 		case <-ticker.C:
 			d.tick()
+		case <-echoWake:
+			echoWake = nil
+		}
+		if d.echoDue {
+			if wait := d.payEcho(); wait > 0 && echoWake == nil {
+				d.counters.echoDeferred.Inc()
+				echoTimer.Reset(wait)
+				echoWake = echoTimer.C
+			}
 		}
 	}
 }
@@ -446,24 +466,7 @@ func (d *Daemon) tick() {
 	// Heartbeats go to every configured peer: within the view they
 	// advance the agreed-delivery horizon; outside they are the
 	// discovery mechanism for merges.
-	hb := &wireMsg{Kind: kindHeartbeat, HB: &hbMsg{
-		View:   d.view.ID,
-		LTS:    d.lts,
-		Stable: d.receiveHorizon(),
-		Seq:    d.seq,
-	}}
-	// Pooled encode: transports copy on Send, so the buffer recycles as
-	// soon as the fan-out loop finishes.
-	data, err := encodeWire(wirecodec.GetBuf(), hb, d.clockExt())
-	if err == nil {
-		for _, p := range d.peers {
-			if p != d.name {
-				d.counters.countSent(kindHeartbeat, len(data))
-				_ = d.node.Send(p, data)
-			}
-		}
-	}
-	wirecodec.PutBuf(data)
+	d.sendHeartbeat(d.peers)
 
 	// Failure detection: a silent view member triggers a membership
 	// change.
@@ -624,6 +627,7 @@ func (d *Daemon) broadcastData(p payload) {
 				_ = d.node.Send(member, enc)
 			}
 		}
+		d.sentLTS = m.LTS
 	}
 	wirecodec.PutBuf(enc)
 	d.onData(m)
@@ -655,44 +659,56 @@ func (d *Daemon) onData(m *dataMsg) {
 	d.deliverReady(m.Sender)
 	d.drainAgreed()
 	// Agreed-class delivery waits until every member's clock passes the
-	// message timestamp. Echo a heartbeat immediately (rate-limited) so
-	// idle members advance the horizon in one round trip rather than one
-	// heartbeat interval.
-	if m.ordered() && d.hasPendingOrdered() {
-		d.echoHeartbeat()
+	// message timestamp. A peer's frame stamped above what this daemon
+	// has advertised leaves a clock debt, paid at the end of the loop
+	// turn (payEcho), so idle members advance the horizon in one round
+	// trip rather than one heartbeat interval. Own broadcasts never set
+	// it: the data frame already carried the clock.
+	if m.ordered() && m.LTS > d.sentLTS {
+		d.echoDue = true
 	}
 }
 
-// hasPendingOrdered reports whether any agreed-class message is awaiting
-// the delivery horizon.
-func (d *Daemon) hasPendingOrdered() bool {
-	return d.agreed.len() > 0
-}
-
-// echoHeartbeat sends an out-of-schedule heartbeat to the view members,
-// at most once per quarter heartbeat interval.
-func (d *Daemon) echoHeartbeat() {
+// payEcho settles the clock debt with one heartbeat to the view members.
+// If own data or a tick has advertised the clock since, the debt clears
+// without a frame. Echoes keep at least Heartbeat/4 between them; inside
+// that spacing the debt stays and payEcho returns how long until it may
+// be paid.
+func (d *Daemon) payEcho() (wait time.Duration) {
+	if d.lts <= d.sentLTS {
+		d.echoDue = false
+		return 0
+	}
 	now := time.Now()
-	if now.Sub(d.lastEcho) < d.cfg.Heartbeat/4 {
-		return
+	if wait = d.cfg.Heartbeat/4 - now.Sub(d.lastEcho); wait > 0 {
+		return wait
 	}
+	d.echoDue = false
 	d.lastEcho = now
+	d.sendHeartbeat(d.view.Members)
+	return 0
+}
+
+// sendHeartbeat advertises this daemon's clock, receive horizon and
+// sequence number to every name in dests but its own.
+func (d *Daemon) sendHeartbeat(dests []string) {
 	hb := &wireMsg{Kind: kindHeartbeat, HB: &hbMsg{
 		View:   d.view.ID,
 		LTS:    d.lts,
 		Stable: d.receiveHorizon(),
 		Seq:    d.seq,
 	}}
+	// Pooled encode: transports copy on Send, so the buffer recycles as
+	// soon as the fan-out loop finishes.
 	data, err := encodeWire(wirecodec.GetBuf(), hb, d.clockExt())
-	if err != nil {
-		wirecodec.PutBuf(data)
-		return
-	}
-	for _, member := range d.view.Members {
-		if member != d.name {
-			d.counters.countSent(kindHeartbeat, len(data))
-			_ = d.node.Send(member, data)
+	if err == nil {
+		for _, p := range dests {
+			if p != d.name {
+				d.counters.countSent(kindHeartbeat, len(data))
+				_ = d.node.Send(p, data)
+			}
 		}
+		d.sentLTS = d.lts
 	}
 	wirecodec.PutBuf(data)
 }

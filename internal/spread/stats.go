@@ -35,8 +35,11 @@ type statsCounters struct {
 	msgsRecovered     *obs.Counter
 	msgsRetransmitted *obs.Counter
 	nacksSent         *obs.Counter
-	retainedGauge     *obs.Gauge
-	clientsGauge      *obs.Gauge
+	// echoDeferred counts clock echoes the Heartbeat/4 spacing postponed
+	// to the echo timer: how often the spacing binds.
+	echoDeferred  *obs.Counter
+	retainedGauge *obs.Gauge
+	clientsGauge  *obs.Gauge
 
 	// Per-wire-kind traffic, indexed by msgKind.
 	sentMsgs  [kindMax]*obs.Counter
@@ -53,6 +56,7 @@ func newStatsCounters(reg *obs.Registry) statsCounters {
 		msgsRecovered:     reg.Counter("spread_msgs_recovered"),
 		msgsRetransmitted: reg.Counter("spread_msgs_retransmitted"),
 		nacksSent:         reg.Counter("spread_nacks_sent"),
+		echoDeferred:      reg.Counter("spread_echo_deferred"),
 		retainedGauge:     reg.Gauge("spread_retained"),
 		clientsGauge:      reg.Gauge("spread_clients"),
 	}
