@@ -38,7 +38,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/dh ./internal/cliques ./internal/blowfish ./internal/crypt \
+	$(GO) test -race ./internal/dh ./internal/cliques ./internal/ckd ./internal/blowfish ./internal/crypt \
 		./internal/spread ./internal/flush ./internal/core \
 		./internal/transport/... ./internal/obs/... ./cmd/sgcmon
 

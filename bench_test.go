@@ -12,6 +12,7 @@ import (
 	"crypto/rand"
 	"fmt"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,6 +20,8 @@ import (
 	_ "repro/internal/cliques"
 	"repro/internal/crypt"
 	"repro/internal/dh"
+	"repro/internal/kga"
+	"repro/internal/kga/kgatest"
 )
 
 var protocols = []string{"cliques", "ckd"}
@@ -273,7 +276,7 @@ func BenchmarkCheckElement(b *testing.B) {
 	}
 }
 
-// BenchmarkExpBatchParallel measures a 16-entry batch of independent
+// BenchmarkExpBatchParallel measures a 16-job batch of independent
 // exponentiations — the shape of a Cliques final broadcast or a CKD key
 // distribution for a 16-member group — at pool widths 1 through 8.
 func BenchmarkExpBatchParallel(b *testing.B) {
@@ -281,22 +284,52 @@ func BenchmarkExpBatchParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	const n = 16
-	baseMap := make(map[string]*big.Int, n)
-	for i := 0; i < n; i++ {
-		baseMap[fmt.Sprintf("m%02d", i)] = g.PowG(g.MustShare(), nil, "")
-	}
 	exp := g.MustShare()
+	jobs := make([]dh.Job, 16)
+	for i := range jobs {
+		jobs[i] = dh.Job{Base: g.PowG(g.MustShare(), nil, ""), Exp: exp}
+	}
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			prev := dh.SetBatchWorkers(w)
 			defer dh.SetBatchWorkers(prev)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.ExpBatch(baseMap, exp, nil, "")
+				g.ExpJobs(jobs, nil)
 			}
 		})
 	}
+}
+
+// BenchmarkCliquesRekey1024 times the Cliques engine alone on the
+// benchmark's rekey_churn shape: an 8th member joins a 7-member group and
+// leaves again, at 1024 bits over the in-memory kgatest harness (no
+// daemons, no flush). One op is one join plus one leave; exps/op is the
+// exponentiations counted across all members (Tables 2-3: 36 + 14). Run
+// with -cpu 1,2 to see what the per-step batches buy.
+func BenchmarkCliquesRekey1024(b *testing.B) {
+	g, err := dh.GroupForBits(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net := kgatest.NewNet(b, "cliques", g)
+	base := []string{"m0", "m1", "m2", "m3", "m4", "m5", "m6"}
+	net.Grow(base)
+	all := append(slices.Clone(base), "m7")
+	net.Add("m7")
+	net.ResetCounters()
+	// A b.N loop rather than b.Loop: b.Loop would run the first -cpu
+	// setting's iterations before GOMAXPROCS is applied.
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		net.MustRun(kga.Event{Type: kga.EvJoin, Members: all, Joined: all[7:]}, all)
+		net.MustRun(kga.Event{Type: kga.EvLeave, Members: base, Left: all[7:]}, base)
+	}
+	exps := 0
+	for _, c := range net.Counters {
+		exps += c.Total()
+	}
+	b.ReportMetric(float64(exps)/float64(b.N), "exps/op")
 }
 
 // BenchmarkSealOpen measures one Seal+Open round trip per cipher suite at

@@ -434,9 +434,9 @@ func (m *Member) distribute() (kga.Result, error) {
 	secret := m.g.PowG(ks, m.counter, dh.OpSessionKey)
 
 	members := m.pend.members
-	macs := make(map[string][]byte, len(members)-1)
 	eAll := m.effectiveE()
-	exps := make(map[string]*big.Int, len(members)-1)
+	others := make([]string, 0, len(members)-1)
+	jobs := make([]dh.Job, 0, len(members)-1)
 	for _, name := range members {
 		if name == m.name {
 			continue
@@ -445,15 +445,16 @@ func (m *Member) distribute() (kga.Result, error) {
 		if !ok {
 			return kga.Result{}, fmt.Errorf("%w: no pairwise key with %s", ErrBadState, name)
 		}
-		exps[name] = m.g.ReduceQ(e)
+		others = append(others, name)
+		jobs = append(jobs, dh.Job{Base: secret, Exp: m.g.ReduceQ(e), Label: dh.OpKeyEncrypt})
 	}
 	// "Encryption of session key": Ks^(alpha^(r_1 r_i)) for each member —
 	// independent exponentiations, fanned across the batch worker pool.
-	entries := m.g.ExpBatchExps(secret, exps, m.counter, dh.OpKeyEncrypt)
-	for _, name := range members {
-		if name == m.name {
-			continue
-		}
+	vals := m.g.ExpJobs(jobs, m.counter)
+	entries := make(map[string]*big.Int, len(others))
+	macs := make(map[string][]byte, len(others))
+	for i, name := range others {
+		entries[name] = vals[i]
 		macs[name] = auth.MACTag(eMACKey(eAll[name]), entryCanon(m.name, name, entries[name], m.pend.targetEpoch))
 	}
 	body := keyDistBody{

@@ -87,32 +87,38 @@ func (m *Member) onJoinSeed(msg kga.Message) (kga.Result, error) {
 		return kga.Result{}, err
 	}
 
-	// "Encryption of session key", n-1 times: fold our share into each
-	// member's partial. The entries are independent, so they fan out
-	// across the batch worker pool.
-	bases := make(map[string]*big.Int, len(old))
+	// One batch for the rest of the step, all independent of each other:
+	// the new session key (the seed raised to our share, Table 2, 1);
+	// "encryption of session key" n-1 times, folding our share into each
+	// member's partial; and the remaining n-2 long-term key computations,
+	// which authenticate each entry to its owner. The controller's
+	// pairwise key was derived above to verify the seed first.
+	jobs := make([]dh.Job, 0, 2*len(old))
+	jobs = append(jobs, dh.Job{Base: body.PNew, Exp: share, Label: dh.OpSessionKey})
 	for _, name := range old {
-		bases[name] = body.Partials[name]
+		jobs = append(jobs, dh.Job{Base: body.Partials[name], Exp: share, Label: dh.OpKeyEncrypt})
 	}
-	entries := m.g.ExpBatch(bases, share, m.counter, dh.OpKeyEncrypt)
+	for _, name := range old[:len(old)-1] { // every old member but the controller
+		pub, err := peerPub(m.g, m.dir, name)
+		if err != nil {
+			return kga.Result{}, err
+		}
+		jobs = append(jobs, dh.Job{Base: pub, Exp: m.x, Label: dh.OpLongTermKey})
+	}
+	vals := m.g.ExpJobs(jobs, m.counter)
+	secret := vals[0]
+	entries := make(map[string]*big.Int, len(old)+1)
 	macs := make(map[string][]byte, len(old))
-	for _, name := range old {
-		var k []byte
-		if name == controller {
-			k = kc
-		} else {
-			// The remaining n-2 long-term key computations.
-			k, err = pairwiseKey(m.g, m.x, m.dir, name, m.counter, dh.OpLongTermKey)
-			if err != nil {
-				return kga.Result{}, err
-			}
+	for i, name := range old {
+		entries[name] = vals[1+i]
+		k := kc
+		if name != controller {
+			k = vals[1+len(old)+i].Bytes()
 		}
 		macs[name] = macTag(k, entryCanon(m.name, name, entries[name], body.TargetEpoch))
 	}
 	// Our own partial is the seed value (it excludes our share).
 	entries[m.name] = body.PNew
-	// New session key: the seed raised to our share (Table 2, 1).
-	secret := m.g.Exp(body.PNew, share, m.counter, dh.OpSessionKey)
 
 	bcast := joinBcastBody{
 		Members:     slices.Clone(m.pend.members),
@@ -442,32 +448,44 @@ func (m *Member) onMergeFactorResp(msg kga.Message) (kga.Result, error) {
 		return kga.Result{}, nil
 	}
 
-	// All responses in: build the final partial set. The factored
-	// partials are independent, so the fold fans out across the batch
-	// worker pool.
+	// All responses in: one batch builds the final partial set — the new
+	// session key, our share folded into each factored partial, and the
+	// pairwise long-term keys that authenticate each entry to its owner.
 	share := m.pend.newShare
-	macs := make(map[string][]byte, len(m.pend.members)-1)
-	entries := m.g.ExpBatch(m.pend.factors, share, m.counter, dh.OpKeyEncrypt)
+	others := make([]string, 0, len(m.pend.members)-1)
+	jobs := make([]dh.Job, 0, 2*len(m.pend.members)-1)
+	jobs = append(jobs, dh.Job{Base: m.pend.u, Exp: share, Label: dh.OpSessionKey})
+	for _, name := range m.pend.members {
+		if name != m.name {
+			others = append(others, name)
+			jobs = append(jobs, dh.Job{Base: m.pend.factors[name], Exp: share, Label: dh.OpKeyEncrypt})
+		}
+	}
+	for _, name := range others {
+		pub, err := peerPub(m.g, m.dir, name)
+		if err != nil {
+			return kga.Result{}, err
+		}
+		jobs = append(jobs, dh.Job{Base: pub, Exp: m.x, Label: dh.OpLongTermKey})
+	}
+	vals := m.g.ExpJobs(jobs, m.counter)
+	secret := vals[0]
+	entries := make(map[string]*big.Int, len(m.pend.members))
+	macs := make(map[string][]byte, len(others))
+	for i, name := range others {
+		entries[name] = vals[1+i]
+		k := vals[1+len(others)+i].Bytes()
+		macs[name] = macTag(k, entryCanon(m.name, name, entries[name], m.pend.targetEpoch))
+	}
 	entries[m.name] = m.pend.u
-	secret := m.g.Exp(m.pend.u, share, m.counter, dh.OpSessionKey)
 
 	bcast := mergeBcastBody{
 		Members:     slices.Clone(m.pend.members),
 		Entries:     entries,
+		EntryMACs:   macs,
 		SenderPub:   m.pub,
 		TargetEpoch: m.pend.targetEpoch,
 	}
-	for _, name := range m.pend.members {
-		if name == m.name {
-			continue
-		}
-		k, err := pairwiseKey(m.g, m.x, m.dir, name, m.counter, dh.OpLongTermKey)
-		if err != nil {
-			return kga.Result{}, err
-		}
-		macs[name] = macTag(k, entryCanon(m.name, name, entries[name], m.pend.targetEpoch))
-	}
-	bcast.EntryMACs = macs
 	enc, err := m.encBody(MsgMergeBcast, &bcast)
 	if err != nil {
 		return kga.Result{}, err

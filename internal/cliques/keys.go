@@ -31,6 +31,17 @@ import (
 // the named peer, counting one exponentiation under label. The result keys
 // an HMAC; it is the K_bar of A-GDH-style member authentication.
 func pairwiseKey(g *dh.Group, x *big.Int, dir kga.Directory, peer string, c *dh.Counter, label string) ([]byte, error) {
+	pub, err := peerPub(g, dir, peer)
+	if err != nil {
+		return nil, err
+	}
+	return g.Exp(pub, x, c, label).Bytes(), nil
+}
+
+// peerPub resolves the peer's long-term public key and validates it as a
+// group element: the base of every pairwise key, computed either by
+// pairwiseKey or as a job of a step's exponentiation batch.
+func peerPub(g *dh.Group, dir kga.Directory, peer string) (*big.Int, error) {
 	pub, err := dir.PubKey(peer)
 	if err != nil {
 		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
@@ -38,8 +49,7 @@ func pairwiseKey(g *dh.Group, x *big.Int, dir kga.Directory, peer string, c *dh.
 	if err := g.CheckElement(pub); err != nil {
 		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
 	}
-	k := g.Exp(pub, x, c, label)
-	return k.Bytes(), nil
+	return pub, nil
 }
 
 // macTag computes HMAC-SHA256 over parts under key.

@@ -291,32 +291,43 @@ func (m *Member) evJoin(ev kga.Event) (kga.Result, error) {
 	if err != nil {
 		return kga.Result{}, err
 	}
-	newShare := mulQ(m.g, m.share, f)
-	m.pend.newShare = newShare
-
-	// The refresh touches every partial but our own; the n-2
-	// exponentiations are independent and fan out across the batch pool.
-	refresh := make(map[string]*big.Int, len(old)-1)
-	for _, name := range old {
-		if name != m.name {
-			refresh[name] = m.partials[name]
-		}
-	}
-	partials := m.g.ExpBatch(refresh, f, m.counter, dh.OpShareUpdate)
-	// Our own partial excludes our share; the refresh does not touch it.
-	partials[m.name] = new(big.Int).Set(m.partials[m.name])
-	// The joiner's seed partial is the refreshed old group secret
-	// g^(N_1...N_(n-1)) — one more "update key share" exponentiation,
-	// for a controller total of n-1 (Table 2).
-	pNew := m.g.Exp(m.partials[m.name], newShare, m.counter, dh.OpShareUpdate)
+	m.pend.newShare = mulQ(m.g, m.share, f)
 
 	// Authenticate the seed under the pairwise long-term key with the
 	// joiner (Table 2: controller, "long term key computation with new
-	// member", 1).
-	kc, err := pairwiseKey(m.g, m.x, m.dir, joiner, m.counter, dh.OpLongTermKey)
+	// member", 1). Its public key is resolved and validated up front so
+	// the exponentiation joins the step's batch.
+	joinerPub, err := peerPub(m.g, m.dir, joiner)
 	if err != nil {
 		return kga.Result{}, err
 	}
+
+	// One batch for the whole step: the refresh of every partial but our
+	// own, the joiner's seed partial, and the pairwise key. The seed
+	// partial is the refreshed old group secret g^(N_1...N_(n-1)) — one
+	// more "update key share" exponentiation, for a controller total of
+	// n-1 (Table 2). It is computed as K_old^f: K_old = partials[me]^share
+	// after every commit, so this equals partials[me]^(share·f mod q)
+	// with a short exponent instead of a full-length one.
+	jobs := []dh.Job{
+		{Base: m.key.Secret, Exp: f, Label: dh.OpShareUpdate},
+		{Base: joinerPub, Exp: m.x, Label: dh.OpLongTermKey},
+	}
+	refreshed := make([]string, 0, len(old)-1)
+	for _, name := range old {
+		if name != m.name {
+			refreshed = append(refreshed, name)
+			jobs = append(jobs, dh.Job{Base: m.partials[name], Exp: f, Label: dh.OpShareUpdate})
+		}
+	}
+	vals := m.g.ExpJobs(jobs, m.counter)
+	pNew, kc := vals[0], vals[1].Bytes()
+	partials := make(map[string]*big.Int, len(old))
+	for i, name := range refreshed {
+		partials[name] = vals[2+i]
+	}
+	// Our own partial excludes our share; the refresh does not touch it.
+	partials[m.name] = new(big.Int).Set(m.partials[m.name])
 	m.pend.ltJoiner = kc
 	body := joinSeedBody{
 		OldMembers:  slices.Clone(old),
@@ -402,18 +413,27 @@ func (m *Member) startRekey(survivors, left []string, refresh bool) (kga.Result,
 	}
 	newShare := mulQ(m.g, m.share, f)
 
-	// Fold the fresh factor into every survivor's partial but our own —
-	// the exponentiations are independent and fan out across the batch
-	// pool.
-	toFold := make(map[string]*big.Int, len(survivors)-1)
+	// One batch for the step: the new secret first, then the fresh factor
+	// folded into every survivor's partial but our own. The secret is
+	// computed as K_old^f: K_old = partials[me]^share after every commit
+	// and the departed members' shares stay in every exponent, so this
+	// equals partials[me]^(share·f mod q) with a short exponent instead
+	// of a full-length one.
+	jobs := []dh.Job{{Base: m.key.Secret, Exp: f, Label: dh.OpSessionKey}}
+	folded := make([]string, 0, len(survivors)-1)
 	for _, name := range survivors {
 		if name != m.name {
-			toFold[name] = m.partials[name]
+			folded = append(folded, name)
+			jobs = append(jobs, dh.Job{Base: m.partials[name], Exp: f, Label: dh.OpShareUpdate})
 		}
 	}
-	entries := m.g.ExpBatch(toFold, f, m.counter, dh.OpShareUpdate)
+	vals := m.g.ExpJobs(jobs, m.counter)
+	secret := vals[0]
+	entries := make(map[string]*big.Int, len(survivors))
+	for i, name := range folded {
+		entries[name] = vals[1+i]
+	}
 	entries[m.name] = new(big.Int).Set(m.partials[m.name])
-	secret := m.g.Exp(m.partials[m.name], newShare, m.counter, dh.OpSessionKey)
 
 	body := leaveBcastBody{
 		Members:     slices.Clone(survivors),

@@ -172,9 +172,14 @@ func (g *groupCtx) onAnnounce(from string, ann *announceBody) {
 	if ann.Proto != g.protoName {
 		g.conn.warn(g.name, fmt.Errorf("member %s uses key agreement %q, group uses %q", from, ann.Proto, g.protoName))
 	}
-	if err := g.conn.dhGroup.CheckElement(ann.Pub); err != nil {
-		g.conn.warn(g.name, fmt.Errorf("announce from %s: %w", from, err))
-		return
+	// Every view re-announces every member's long-term key; only a key
+	// that differs from the one already validated for this member needs
+	// the check again (pubkeys holds validated keys only).
+	if known := g.pubkeys[from]; known == nil || ann.Pub == nil || known.Cmp(ann.Pub) != 0 {
+		if err := g.conn.dhGroup.CheckElement(ann.Pub); err != nil {
+			g.conn.warn(g.name, fmt.Errorf("announce from %s: %w", from, err))
+			return
+		}
 	}
 	g.anns[from] = ann
 	g.pubkeys[from] = ann.Pub

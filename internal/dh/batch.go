@@ -7,23 +7,25 @@ import (
 	"sync/atomic"
 )
 
-// The ExpBatch family fans independent modular exponentiations across a
-// worker pool. The per-member loops of both key-agreement protocols — the
-// Cliques controller refreshing n-1 partials, the joiner folding its share
-// into n-1 entries, the CKD controller blinding the session key under n-1
-// pairwise exponents — are embarrassingly parallel: same exponent (or same
-// base), no data dependencies. Batching them turns the paper's O(n) serial
-// exponentiation latency into O(n / cores) without touching the protocol:
-// results are bit-identical to the serial loop and every exponentiation
-// still records exactly one Counter.Inc under the same label, so the
-// Table 2-4 accounting is preserved (Counter is goroutine-safe).
+// ExpJobs fans the independent modular exponentiations of one protocol step
+// across a worker pool. Each step of both key-agreement protocols — the
+// Cliques controller refreshing n-2 partials, deriving the joiner's seed and
+// keying the seed's MAC; the joiner folding its share into n-1 entries,
+// deriving n-2 pairwise keys and its session key; the CKD controller
+// blinding the session key under n-1 pairwise exponents — is a set of
+// exponentiations with no data dependencies between them. Running the
+// whole step as one batch turns the paper's O(n) serial exponentiation
+// latency into O(n / cores) without touching the protocol: results are
+// bit-identical to the serial loop and every exponentiation still records
+// exactly one Counter.Inc under its own label, so the Table 2-4 accounting
+// is preserved (Counter is goroutine-safe).
 
 // batchWorkers overrides the pool width; 0 means runtime.GOMAXPROCS.
 var batchWorkers atomic.Int64
 
-// SetBatchWorkers sets the worker-pool width used by the ExpBatch family
-// and returns the previous setting. n <= 1 forces the serial path (the
-// parity tests run every scenario both ways); 0 restores the default of
+// SetBatchWorkers sets the worker-pool width used by ExpJobs and returns
+// the previous setting. n <= 1 forces the serial path (the parity tests
+// run every scenario both ways); 0 restores the default of
 // runtime.GOMAXPROCS workers.
 func SetBatchWorkers(n int) int {
 	return int(batchWorkers.Swap(int64(n)))
@@ -45,80 +47,42 @@ func BatchWorkers(n int) int {
 	return w
 }
 
-// expMany computes n independent exponentiations base(i)^exp(i) mod p,
-// fanning them across the worker pool (serially when the pool width is 1).
-// Each exponentiation counts once under label, exactly as a serial loop of
-// g.Exp calls would.
-func (g *Group) expMany(n int, base, exp func(i int) *big.Int, c *Counter, label string) []*big.Int {
-	out := make([]*big.Int, n)
-	w := BatchWorkers(n)
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			out[i] = g.Exp(base(i), exp(i), c, label)
-		}
-		return out
-	}
+// Job is one counted exponentiation of a batch: Base^Exp mod p, recorded
+// under Label.
+type Job struct {
+	Base, Exp *big.Int
+	Label     string
+}
+
+// ExpJobs computes every job's Base^Exp mod p, fanning the jobs across the
+// worker pool (serially when the pool width is 1), and returns the results
+// in job order. Each job counts once under its own label, exactly as a
+// serial loop of g.Exp calls would. Workers take jobs in index order, so
+// the jobs a step needs soonest go first.
+func (g *Group) ExpJobs(jobs []Job, c *Counter) []*big.Int {
+	out := make([]*big.Int, len(jobs))
 	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(jobs) {
+				return
+			}
+			j := jobs[i]
+			out[i] = g.Exp(j.Base, j.Exp, c, j.Label)
+		}
+	}
+	// The calling goroutine is one of the workers.
+	w := BatchWorkers(len(jobs))
 	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
+	wg.Add(w - 1)
+	for k := 1; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = g.Exp(base(i), exp(i), c, label)
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
-	return out
-}
-
-// ExpBatch computes bases[name]^exp mod p for every entry — the Cliques
-// broadcast shape: one fresh share folded into each member's partial. One
-// Counter.Inc per entry under label.
-func (g *Group) ExpBatch(bases map[string]*big.Int, exp *big.Int, c *Counter, label string) map[string]*big.Int {
-	names := make([]string, 0, len(bases))
-	for name := range bases {
-		names = append(names, name)
-	}
-	vals := g.expMany(len(names),
-		func(i int) *big.Int { return bases[names[i]] },
-		func(int) *big.Int { return exp },
-		c, label)
-	out := make(map[string]*big.Int, len(names)+1)
-	for i, name := range names {
-		out[name] = vals[i]
-	}
-	return out
-}
-
-// ExpBatchSlice is ExpBatch for positional bases.
-func (g *Group) ExpBatchSlice(bases []*big.Int, exp *big.Int, c *Counter, label string) []*big.Int {
-	return g.expMany(len(bases),
-		func(i int) *big.Int { return bases[i] },
-		func(int) *big.Int { return exp },
-		c, label)
-}
-
-// ExpBatchExps computes base^exps[name] mod p for every entry — the CKD
-// key-distribution shape: one session key blinded under each member's
-// pairwise exponent. One Counter.Inc per entry under label.
-func (g *Group) ExpBatchExps(base *big.Int, exps map[string]*big.Int, c *Counter, label string) map[string]*big.Int {
-	names := make([]string, 0, len(exps))
-	for name := range exps {
-		names = append(names, name)
-	}
-	vals := g.expMany(len(names),
-		func(int) *big.Int { return base },
-		func(i int) *big.Int { return exps[names[i]] },
-		c, label)
-	out := make(map[string]*big.Int, len(names)+1)
-	for i, name := range names {
-		out[name] = vals[i]
-	}
 	return out
 }

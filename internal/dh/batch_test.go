@@ -2,6 +2,7 @@ package dh
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
 	"testing"
 )
@@ -14,32 +15,67 @@ func withWorkers(n int, f func()) {
 	f()
 }
 
-func TestExpBatchMatchesSerial(t *testing.T) {
-	g := Group512
-	exps := []*big.Int{g.MustShare(), fullExponent(t, g)}
-	bases := make(map[string]*big.Int)
-	for i := 0; i < 9; i++ {
-		bases[fmt.Sprintf("m%d", i)] = g.PowG(g.MustShare(), nil, "")
+// checkJobs runs jobs through ExpJobs and requires every result to equal
+// big.Int.Exp and the counter to hold exactly one Inc per job under the
+// job's label; it returns the per-label tally.
+func checkJobs(t *testing.T, g *Group, jobs []Job) map[string]int {
+	t.Helper()
+	c := NewCounter()
+	got := g.ExpJobs(jobs, c)
+	if len(got) != len(jobs) {
+		t.Fatalf("got %d results, want %d", len(got), len(jobs))
 	}
+	want := make(map[string]int)
+	for i, j := range jobs {
+		want[j.Label]++
+		if w := new(big.Int).Exp(j.Base, j.Exp, g.P); got[i].Cmp(w) != 0 {
+			t.Errorf("job %d (%d-bit exponent, %s): differs from big.Int.Exp", i, j.Exp.BitLen(), j.Label)
+		}
+	}
+	if tally := c.Snapshot(); !maps.Equal(tally, want) || c.Total() != len(jobs) {
+		t.Errorf("counted %v (total %d), want %v", tally, c.Total(), want)
+	}
+	return c.Snapshot()
+}
 
+// TestExpJobsMatchesSerial mixes bases, exponents and labels in one batch
+// — short shares, full-length exponents, exponent 0 and base 1 — and
+// requires results equal to big.Int.Exp and identical per-label tallies at
+// pool widths 1, 2 and 8, for the full batch and for its empty and
+// single-job prefixes.
+func TestExpJobsMatchesSerial(t *testing.T) {
+	g := Group512
+	elem := func() *big.Int { return g.PowG(g.MustShare(), nil, "") }
+	labels := []string{OpKeyEncrypt, OpShareUpdate, OpLongTermKey, OpSessionKey}
+	var jobs []Job
+	for i := 0; i < 12; i++ {
+		exp := g.MustShare()
+		if i%2 == 1 {
+			exp = fullExponent(t, g)
+		}
+		jobs = append(jobs, Job{Base: elem(), Exp: exp, Label: labels[i%len(labels)]})
+	}
+	jobs = append(jobs,
+		Job{Base: elem(), Exp: big.NewInt(0), Label: OpShareRemove},
+		Job{Base: big.NewInt(1), Exp: fullExponent(t, g), Label: OpKeyDecrypt},
+		Job{Base: g.G, Exp: g.MustShare(), Label: OpSessionKey},
+	)
+
+	var ref []map[string]int
 	for _, workers := range []int{1, 2, 8} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
 			withWorkers(workers, func() {
-				for _, exp := range exps {
-					c := NewCounter()
-					got := g.ExpBatch(bases, exp, c, OpKeyEncrypt)
-					if len(got) != len(bases) {
-						t.Fatalf("got %d entries, want %d", len(got), len(bases))
-					}
-					for name, b := range bases {
-						if want := new(big.Int).Exp(b, exp, g.P); got[name].Cmp(want) != 0 {
-							t.Errorf("%d-bit exponent: entry %s differs from serial Exp", exp.BitLen(), name)
-						}
-					}
-					if c.Get(OpKeyEncrypt) != len(bases) || c.Total() != len(bases) {
-						t.Errorf("counted %d under label, %d total; want %d of each",
-							c.Get(OpKeyEncrypt), c.Total(), len(bases))
+				var tallies []map[string]int
+				for _, n := range []int{0, 1, len(jobs)} {
+					tallies = append(tallies, checkJobs(t, g, jobs[:n]))
+				}
+				if ref == nil {
+					ref = tallies
+					return
+				}
+				for i := range tallies {
+					if !maps.Equal(tallies[i], ref[i]) {
+						t.Errorf("batch %d: tally %v differs from the serial run's %v", i, tallies[i], ref[i])
 					}
 				}
 			})
@@ -47,66 +83,49 @@ func TestExpBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestExpBatchSliceMatchesSerial(t *testing.T) {
-	g := Group512
-	for _, exp := range []*big.Int{g.MustShare(), fullExponent(t, g)} {
-		var bases []*big.Int
-		for i := 0; i < 7; i++ {
-			bases = append(bases, g.PowG(g.MustShare(), nil, ""))
-		}
-		var serial, parallel []*big.Int
-		c1, c2 := NewCounter(), NewCounter()
-		withWorkers(1, func() { serial = g.ExpBatchSlice(bases, exp, c1, OpShareUpdate) })
-		withWorkers(4, func() { parallel = g.ExpBatchSlice(bases, exp, c2, OpShareUpdate) })
-		for i := range bases {
-			if serial[i].Cmp(parallel[i]) != 0 {
-				t.Errorf("slice entry %d: serial != parallel", i)
-			}
-			if want := new(big.Int).Exp(bases[i], exp, g.P); serial[i].Cmp(want) != 0 {
-				t.Errorf("slice entry %d: differs from generic Exp", i)
-			}
-		}
-		if c1.Total() != c2.Total() || c1.Get(OpShareUpdate) != c2.Get(OpShareUpdate) {
-			t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
-		}
-	}
-}
-
-func TestExpBatchExpsMatchesSerial(t *testing.T) {
+// TestExpBatchMatchesSerial runs the two uniform shapes the protocols
+// batch — one exponent folded into many bases (a Cliques broadcast) and
+// one base blinded under many exponents (a CKD key distribution) — at
+// each pool width. Unlike the mixed batch, every job here shares one
+// *big.Int with every other job, read by all workers at once.
+func TestExpBatchMatchesSerial(t *testing.T) {
 	g := Group512
 	base := g.PowG(g.MustShare(), nil, "")
-	exps := make(map[string]*big.Int)
-	for i := 0; i < 6; i++ {
-		exps[fmt.Sprintf("short%d", i)] = g.MustShare()
-		exps[fmt.Sprintf("full%d", i)] = fullExponent(t, g)
+	var exps, bases []*big.Int
+	for i := 0; i < 9; i++ {
+		bases = append(bases, g.PowG(g.MustShare(), nil, ""))
+		exps = append(exps, g.MustShare(), fullExponent(t, g))
 	}
-	var serial, parallel map[string]*big.Int
-	c1, c2 := NewCounter(), NewCounter()
-	withWorkers(1, func() { serial = g.ExpBatchExps(base, exps, c1, OpKeyEncrypt) })
-	withWorkers(8, func() { parallel = g.ExpBatchExps(base, exps, c2, OpKeyEncrypt) })
-	for name := range exps {
-		if serial[name].Cmp(parallel[name]) != 0 {
-			t.Errorf("entry %s: serial != parallel", name)
-		}
-		if want := new(big.Int).Exp(base, exps[name], g.P); serial[name].Cmp(want) != 0 {
-			t.Errorf("entry %s: differs from generic Exp", name)
-		}
-	}
-	if c1.Total() != c2.Total() {
-		t.Errorf("counter parity broken: serial %d, parallel %d", c1.Total(), c2.Total())
+
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			withWorkers(workers, func() {
+				for _, exp := range exps[:2] {
+					jobs := make([]Job, len(bases))
+					for i, b := range bases {
+						jobs[i] = Job{Base: b, Exp: exp, Label: OpShareUpdate}
+					}
+					checkJobs(t, g, jobs)
+				}
+				jobs := make([]Job, len(exps))
+				for i, e := range exps {
+					jobs[i] = Job{Base: base, Exp: e, Label: OpKeyEncrypt}
+				}
+				checkJobs(t, g, jobs)
+			})
+		})
 	}
 }
 
 func TestExpBatchEmptyAndSingle(t *testing.T) {
 	g := Group512
 	exp := g.MustShare()
-	if got := g.ExpBatch(nil, exp, nil, ""); len(got) != 0 {
-		t.Fatalf("empty batch returned %d entries", len(got))
+	if got := g.ExpJobs(nil, nil); len(got) != 0 {
+		t.Fatalf("empty batch returned %d results", len(got))
 	}
-	one := map[string]*big.Int{"a": g.G}
-	got := g.ExpBatch(one, exp, nil, "")
-	if want := new(big.Int).Exp(g.G, exp, g.P); got["a"].Cmp(want) != 0 {
-		t.Fatalf("single-entry batch differs from Exp")
+	got := g.ExpJobs([]Job{{Base: g.G, Exp: exp}}, nil)
+	if want := new(big.Int).Exp(g.G, exp, g.P); len(got) != 1 || got[0].Cmp(want) != 0 {
+		t.Fatalf("single-job batch without a counter differs from Exp")
 	}
 }
 

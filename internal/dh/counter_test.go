@@ -8,7 +8,7 @@ import (
 // TestCounterConcurrentSnapshot hammers a single Counter from many
 // goroutines — incrementing, snapshotting, and reading totals concurrently
 // — and then checks the exact tally. Run under -race this is the
-// regression test for the goroutine-safety the ExpBatch worker pool
+// regression test for the goroutine-safety the ExpJobs worker pool
 // depends on: one Inc per exponentiation must survive arbitrary
 // interleaving.
 func TestCounterConcurrentSnapshot(t *testing.T) {
