@@ -89,7 +89,7 @@ obs-smoke:
 	./scripts/obs-smoke.sh
 
 ## mon-smoke: the live-monitoring gate — 3-daemon TCP cluster with
-## streaming telemetry and armed flight recorders; sgcmon's one-shot
+## polled introspection endpoints and armed flight recorders; sgcmon's one-shot
 ## evaluation must pass on the healthy fleet (exit 0), alert after a
 ## daemon is killed (exit 3), and the survivors' flight bundles must
 ## re-read through sgctrace report.

@@ -6,6 +6,10 @@
 //   - exps/op            measured exponentiations (Tables 2-4)
 //   - paper-exps/op      the paper's closed-form count for comparison
 //   - join-ms, leave-ms  wall / CPU time of one operation (Figures 3-4)
+//
+// Every benchmark loops on b.N, not b.Loop: under Go 1.24 a multi-value
+// -cpu list (-cpu 1,2) runs the first value's b.Loop iterations before
+// that GOMAXPROCS is applied, so its line would report the wrong width.
 package repro
 
 import (
@@ -204,7 +208,7 @@ func BenchmarkExpExponentLength(b *testing.B) {
 			exp  *big.Int
 		}{{"full", full}, {"short", g.MustShare()}} {
 			b.Run(fmt.Sprintf("%s/bits%d", c.name, bits), func(b *testing.B) {
-				for b.Loop() {
+				for i := 0; i < b.N; i++ {
 					g.Exp(base, c.exp, nil, "")
 				}
 			})
@@ -264,12 +268,10 @@ func BenchmarkCheckElement(b *testing.B) {
 		for _, c := range checks {
 			b.Run(fmt.Sprintf("%d/%s", bits, c.name), func(b *testing.B) {
 				b.ReportAllocs()
-				i := 0
-				for b.Loop() {
+				for i := 0; i < b.N; i++ {
 					if !c.check(elems[i%len(elems)]) {
 						b.Fatal("subgroup element rejected")
 					}
-					i++
 				}
 			})
 		}
@@ -318,8 +320,6 @@ func BenchmarkCliquesRekey1024(b *testing.B) {
 	all := append(slices.Clone(base), "m7")
 	net.Add("m7")
 	net.ResetCounters()
-	// A b.N loop rather than b.Loop: b.Loop would run the first -cpu
-	// setting's iterations before GOMAXPROCS is applied.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.MustRun(kga.Event{Type: kga.EvJoin, Members: all, Joined: all[7:]}, all)
@@ -347,7 +347,7 @@ func BenchmarkSealOpen(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%dB", suite, size), func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(int64(size))
-				for b.Loop() {
+				for i := 0; i < b.N; i++ {
 					frame, err := s.Seal(msg)
 					if err != nil {
 						b.Fatal(err)

@@ -1,10 +1,12 @@
-// Command sgcmon is the live fleet monitor: it subscribes to every
-// daemon's streaming telemetry endpoint (/events, see internal/obs/stream)
-// and folds the per-node trace events and metric deltas into one
-// cluster-wide view — sliding-window wire rates, merged rekey-latency
-// histograms, view/epoch convergence — evaluating the same anomaly
-// detectors `sgctrace report` runs post-hoc, but incrementally, while the
-// experiment is still running.
+// Command sgcmon is the live fleet monitor: once per interval it polls
+// every daemon's introspection endpoints (spreadd -debug-addr) for the
+// trace events past its cursor (/trace?since=N) and the cumulative
+// metrics (/metrics), and folds them into one cluster-wide view —
+// sliding-window wire rates, merged rekey-latency histograms, view/epoch
+// convergence — evaluating the same anomaly detectors `sgctrace report`
+// runs post-hoc, but incrementally, while the experiment is still
+// running. A daemon keeps no state per monitor, so a slow or stuck
+// monitor costs it nothing beyond one request pair per interval.
 //
 // Usage:
 //
@@ -24,8 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net/http"
+	"net/url"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -33,12 +38,11 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/causal"
-	"repro/internal/obs/stream"
 )
 
 func main() {
 	fs := flag.NewFlagSet("sgcmon", flag.ExitOnError)
-	interval := fs.Duration("interval", 2*time.Second, "dashboard refresh interval")
+	interval := fs.Duration("interval", 2*time.Second, "poll and dashboard refresh interval")
 	window := fs.Duration("window", 60*time.Second, "sliding window for rates and anomaly evaluation")
 	stall := fs.Duration("stall", analyze.DefaultStallThreshold, "idle time before an open rekey counts as stalled")
 	group := fs.String("group", "", "restrict trace analysis to one process group")
@@ -58,19 +62,10 @@ func main() {
 	}
 
 	mon := newMonitor(*window, *stall, *group)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var wg sync.WaitGroup
 	for _, t := range targets {
 		mon.addNode(t.Name, t.Addr)
-		wg.Add(1)
-		go func(name, url string) {
-			defer wg.Done()
-			for m := range stream.Subscribe(ctx, url, stream.SubOptions{Group: *group}) {
-				mon.apply(name, m)
-			}
-		}(t.Name, t.Addr)
 	}
+	go mon.pollEvery(context.Background(), *interval)
 
 	render := func() *FleetView {
 		v := mon.view(time.Now())
@@ -86,10 +81,7 @@ func main() {
 
 	if *once {
 		time.Sleep(*duration)
-		v := render()
-		cancel()
-		wg.Wait()
-		if len(v.Alerts) > 0 {
+		if v := render(); len(v.Alerts) > 0 {
 			os.Exit(3)
 		}
 		return
@@ -102,29 +94,26 @@ func main() {
 	}
 }
 
-// ---- aggregation ----
+// ---- polling ----
 
-// timedDelta is one metrics frame's counter increments, stamped at
-// receipt, for sliding-window rates.
-type timedDelta struct {
-	at       time.Time
-	counters map[string]int64
+// sample is one poll's cumulative wire-send counters, stamped at receipt.
+type sample struct {
+	at   time.Time
+	sent map[string]int64
 }
 
-// nodeState is everything the monitor knows about one daemon's stream.
+// nodeState is everything the monitor knows about one daemon.
 type nodeState struct {
 	name, url string
-	connected bool
+	connected bool // the last poll of both endpoints succeeded
 	lastErr   string
 
-	// totals accumulates the metric deltas back into cumulative counters
-	// and histograms (AddInto is the inverse of the stream's DiffFrom).
-	totals obs.Snapshot
-	deltas []timedDelta
-	events []obs.Event
-
-	dropped   uint64 // frames this subscriber lost to queue overflow
-	truncated int    // non-initial ring truncations: events lost for good
+	polled    bool   // a poll has succeeded: later truncations lose events
+	cursor    uint64 // the trace cursor to poll from (next_since)
+	metrics   obs.Snapshot
+	samples   []sample
+	events    []obs.Event
+	truncated int // ring truncations after the first poll: events lost for good
 }
 
 type monitor struct {
@@ -154,43 +143,99 @@ func (m *monitor) addNode(name, url string) {
 	if _, ok := m.nodes[name]; ok {
 		return
 	}
-	m.nodes[name] = &nodeState{name: name, url: url, lastErr: "awaiting first frame"}
+	// The zero baseline at monitor start: a node's first sample counts
+	// everything it sent before it.
+	m.nodes[name] = &nodeState{name: name, url: url, lastErr: "awaiting first poll",
+		samples: []sample{{at: m.start}}}
 	m.order = append(m.order, name)
 }
 
-// apply folds one stream message into the node's state.
-func (m *monitor) apply(name string, msg stream.Msg) {
+// pollEvery polls every node now and then once per interval until ctx is
+// done, each node on its own goroutine so that a slow daemon delays only
+// its own polls. A request times out after an interval (at least 1 s).
+func (m *monitor) pollEvery(ctx context.Context, interval time.Duration) {
+	cl := &http.Client{Timeout: max(interval, time.Second)}
+	m.mu.Lock()
+	names := append([]string(nil), m.order...)
+	m.mu.Unlock()
+	var wg sync.WaitGroup
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(interval)
+			defer tick.Stop()
+			for {
+				m.poll(cl, name)
+				select {
+				case <-ctx.Done():
+					return
+				case <-tick.C:
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// pollResult is one node's answer to one poll: both payloads, or the
+// error that cut the poll short.
+type pollResult struct {
+	at      time.Time
+	trace   obs.TracePayload
+	metrics obs.MetricsPayload
+	err     error
+}
+
+// poll reads one node's trace past its cursor and its metrics, and folds
+// the answer in.
+func (m *monitor) poll(cl *http.Client, name string) {
+	m.mu.Lock()
+	n := m.nodes[name]
+	addr, q := n.url, url.Values{"since": {strconv.FormatUint(n.cursor, 10)}}
+	m.mu.Unlock()
+	if m.group != "" {
+		q.Set("group", m.group)
+	}
+	var r pollResult
+	r.err = obs.FetchJSON(cl, addr, "/trace", q, &r.trace)
+	if r.err == nil {
+		r.err = obs.FetchJSON(cl, addr, "/metrics", nil, &r.metrics)
+	}
+	r.at = time.Now()
+	m.apply(name, r)
+}
+
+// apply folds one poll's answer into the node's state. A failed poll
+// changes nothing but the node's health.
+func (m *monitor) apply(name string, r pollResult) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := m.nodes[name]
 	if n == nil {
 		return
 	}
-	switch msg.Kind {
-	case stream.KindHello:
-		n.connected = true
-		n.lastErr = ""
-	case "disconnect":
-		n.connected = false
-		if msg.Err != nil {
-			n.lastErr = msg.Err.Error()
-		}
-	case stream.KindTrace:
-		n.events = append(n.events, msg.Events...)
-	case stream.KindTruncated:
-		if msg.Trunc != nil && !msg.Trunc.Initial {
-			n.truncated++
-		}
-	case stream.KindMetrics:
-		if msg.Metrics == nil {
-			return
-		}
-		n.totals.AddInto(msg.Metrics.Metrics)
-		if len(msg.Metrics.Metrics.Counters) > 0 {
-			n.deltas = append(n.deltas, timedDelta{at: time.Now(), counters: msg.Metrics.Metrics.Counters})
-		}
-		n.dropped = msg.Metrics.Dropped
+	if r.err != nil {
+		n.connected, n.lastErr = false, r.err.Error()
+		return
 	}
+	n.connected, n.lastErr = true, ""
+	// The first poll reads from cursor 0 and expects a long-lived
+	// daemon's ring to have wrapped; only later truncations lose events.
+	if r.trace.Truncated && n.polled {
+		n.truncated++
+	}
+	n.polled = true
+	n.cursor = r.trace.NextSince
+	n.events = append(n.events, r.trace.Events...)
+	n.metrics = r.metrics.Metrics
+	sent := make(map[string]int64)
+	for cname, v := range n.metrics.Counters {
+		if strings.HasPrefix(cname, sentMsgsPrefix) || strings.HasPrefix(cname, sentBytesPrefix) {
+			sent[cname] = v
+		}
+	}
+	n.samples = append(n.samples, sample{at: r.at, sent: sent})
 }
 
 // ---- evaluation ----
@@ -207,7 +252,6 @@ type NodeView struct {
 	Connected bool   `json:"connected"`
 	Error     string `json:"error,omitempty"`
 	Events    int    `json:"events_in_window"`
-	Dropped   uint64 `json:"dropped_frames,omitempty"`
 	Truncated int    `json:"truncations,omitempty"`
 	View      string `json:"view,omitempty"`
 }
@@ -272,27 +316,23 @@ func (m *monitor) view(now time.Time) *FleetView {
 	for _, name := range m.order {
 		n := m.nodes[name]
 		n.events = pruneEvents(n.events, cutoff)
-		n.deltas = pruneDeltas(n.deltas, cutoff)
+		var sent map[string]int64
+		n.samples, sent = windowSent(n.samples, cutoff)
 
 		nv := NodeView{Name: n.name, Connected: n.connected, Error: n.lastErr,
-			Events: len(n.events), Dropped: n.dropped, Truncated: n.truncated}
+			Events: len(n.events), Truncated: n.truncated}
 		if n.connected {
 			connected++
 		} else {
 			v.Alerts = append(v.Alerts, fmt.Sprintf("node %s unreachable: %s", n.name, n.lastErr))
 		}
-		if n.dropped > 0 {
-			v.Alerts = append(v.Alerts, fmt.Sprintf("node %s stream dropped %d frames (monitor too slow)", n.name, n.dropped))
-		}
 		if n.truncated > 0 {
 			v.Alerts = append(v.Alerts, fmt.Sprintf("node %s trace truncated %d time(s): events lost", n.name, n.truncated))
 		}
 
-		for _, d := range n.deltas {
-			for cname, inc := range d.counters {
-				if strings.HasPrefix(cname, sentMsgsPrefix) || strings.HasPrefix(cname, sentBytesPrefix) {
-					rateSums[cname] += inc
-				}
+		for cname, inc := range sent {
+			if inc > 0 {
+				rateSums[cname] += inc
 			}
 		}
 		if len(n.events) > 0 {
@@ -323,7 +363,7 @@ func (m *monitor) view(now time.Time) *FleetView {
 		}
 
 		// Merged rekey-latency histograms across nodes.
-		for hname, h := range n.totals.Histograms {
+		for hname, h := range n.metrics.Histograms {
 			if !strings.Contains(hname, "rekey") {
 				continue
 			}
@@ -399,12 +439,28 @@ func pruneEvents(events []obs.Event, cutoff time.Time) []obs.Event {
 	return events[i:]
 }
 
-func pruneDeltas(deltas []timedDelta, cutoff time.Time) []timedDelta {
-	i := 0
-	for i < len(deltas) && deltas[i].at.Before(cutoff) {
-		i++
+// windowSent drops the samples before the window's base — the last sample
+// at or before cutoff, else the oldest — and returns each wire-send
+// counter's increase since the base. Increases are summed poll by poll,
+// and a counter that went down (a daemon restarted behind the same
+// address) counts its new value, so a rate never goes negative.
+func windowSent(samples []sample, cutoff time.Time) ([]sample, map[string]int64) {
+	base := 0
+	for base+1 < len(samples) && !samples[base+1].at.After(cutoff) {
+		base++
 	}
-	return deltas[i:]
+	samples = samples[base:]
+	inc := make(map[string]int64)
+	for i := 1; i < len(samples); i++ {
+		for cname, v := range samples[i].sent {
+			d := v - samples[i-1].sent[cname]
+			if d < 0 {
+				d = v
+			}
+			inc[cname] += d
+		}
+	}
+	return samples, inc
 }
 
 // wireKind extracts the label from "spread_wire_sent_msgs{kind}".
@@ -468,9 +524,6 @@ func (v *FleetView) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  %-8s %-6s events=%-5d", n.Name, state, n.Events)
 		if n.View != "" {
 			fmt.Fprintf(w, " view=%s", n.View)
-		}
-		if n.Dropped > 0 {
-			fmt.Fprintf(w, " dropped=%d", n.Dropped)
 		}
 		if n.Truncated > 0 {
 			fmt.Fprintf(w, " truncated=%d", n.Truncated)

@@ -3,19 +3,20 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
-	"repro/internal/obs/stream"
 )
 
-// liveNode is one fake daemon: a scope with a streaming debug mux.
+// liveNode is one fake daemon: a scope served by its debug mux.
 type liveNode struct {
 	sc  *obs.Scope
 	srv *httptest.Server
@@ -24,33 +25,25 @@ type liveNode struct {
 func startNode(t *testing.T, name string) *liveNode {
 	t.Helper()
 	sc := obs.NewScope(name, "test")
-	mux := obs.Mux(sc)
-	stream.Attach(mux, sc, stream.Options{
-		PollInterval:    5 * time.Millisecond,
-		MetricsInterval: 20 * time.Millisecond,
-	})
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(obs.Mux(sc))
 	t.Cleanup(srv.Close)
 	return &liveNode{sc: sc, srv: srv}
 }
 
-// subscribeAll mirrors main(): one Subscribe goroutine per node feeding
-// the monitor.
+// subscribeAll mirrors main(): the monitor polls every node once per
+// interval until the test ends.
 func subscribeAll(t *testing.T, mon *monitor, nodes map[string]*liveNode) {
 	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
 	for name, n := range nodes {
 		mon.addNode(name, n.srv.URL)
-		wg.Add(1)
-		go func(name, url string) {
-			defer wg.Done()
-			for m := range stream.Subscribe(ctx, url, stream.SubOptions{}) {
-				mon.apply(name, m)
-			}
-		}(name, n.srv.URL)
 	}
-	t.Cleanup(func() { cancel(); wg.Wait() })
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		mon.pollEvery(ctx, 10*time.Millisecond)
+	}()
+	t.Cleanup(func() { cancel(); <-done })
 }
 
 func waitView(t *testing.T, mon *monitor, pred func(*FleetView) bool) *FleetView {
@@ -170,16 +163,14 @@ func TestDivergenceAndUnreachableAlerts(t *testing.T) {
 	mon.addNode("d2", "http://y")
 	now := time.Now()
 
-	mon.apply("d1", stream.Msg{Kind: stream.KindHello, Hello: &stream.Hello{Node: "d1"}})
-	mon.apply("d2", stream.Msg{Kind: stream.KindHello, Hello: &stream.Hello{Node: "d2"}})
-	mon.apply("d1", stream.Msg{Kind: stream.KindTrace, Events: []obs.Event{
+	mon.apply("d1", pollResult{at: now, trace: obs.TracePayload{Events: []obs.Event{
 		{Comp: "spread", Kind: "view-install", View: "v1/2", T: now, Node: "d1", Seq: 1},
 		{Comp: "core", Kind: "key-install", Group: "g", KeyEpoch: 2, T: now, Node: "d1", Seq: 2},
-	}})
-	mon.apply("d2", stream.Msg{Kind: stream.KindTrace, Events: []obs.Event{
+	}}})
+	mon.apply("d2", pollResult{at: now, trace: obs.TracePayload{Events: []obs.Event{
 		{Comp: "spread", Kind: "view-install", View: "v1/9", T: now, Node: "d2", Seq: 1},
 		{Comp: "core", Kind: "key-install", Group: "g", KeyEpoch: 7, T: now, Node: "d2", Seq: 2},
-	}})
+	}}})
 
 	v := mon.view(time.Now())
 	if v.Converged {
@@ -190,8 +181,8 @@ func TestDivergenceAndUnreachableAlerts(t *testing.T) {
 		t.Fatalf("alerts missing divergence: %v", v.Alerts)
 	}
 
-	// A node losing its stream becomes an unreachable alert.
-	mon.apply("d2", stream.Msg{Kind: "disconnect"})
+	// A node whose poll fails becomes an unreachable alert.
+	mon.apply("d2", pollResult{at: time.Now(), err: errors.New("connection refused")})
 	v = mon.view(time.Now())
 	if !strings.Contains(strings.Join(v.Alerts, "\n"), "node d2 unreachable") {
 		t.Fatalf("disconnect not alerted: %v", v.Alerts)
@@ -201,11 +192,10 @@ func TestDivergenceAndUnreachableAlerts(t *testing.T) {
 func TestWindowPruning(t *testing.T) {
 	mon := newMonitor(50*time.Millisecond, time.Second, "")
 	mon.addNode("d1", "http://x")
-	mon.apply("d1", stream.Msg{Kind: stream.KindHello, Hello: &stream.Hello{Node: "d1"}})
-	mon.apply("d1", stream.Msg{Kind: stream.KindTrace, Events: []obs.Event{
+	mon.apply("d1", pollResult{at: time.Now(), trace: obs.TracePayload{Events: []obs.Event{
 		{Comp: "spread", Kind: "old", T: time.Now().Add(-time.Minute), Seq: 1},
 		{Comp: "spread", Kind: "fresh", T: time.Now(), Seq: 2},
-	}})
+	}}})
 	v := mon.view(time.Now())
 	if v.Nodes[0].Events != 1 {
 		t.Fatalf("window kept %d events, want only the fresh one", v.Nodes[0].Events)
@@ -218,5 +208,68 @@ func TestWireKind(t *testing.T) {
 	}
 	if got := wireKind("plain"); got != "plain" {
 		t.Fatalf("wireKind fallback = %q", got)
+	}
+}
+
+// TestPollTruncationAndCounterReset polls a daemon with a 4-event ring:
+// a ring that wrapped before the first poll is expected and raises no
+// alert, a wrap between two polls raises exactly one truncation alert, and
+// a counter that goes down (the daemon restarted behind the same address)
+// still yields a non-negative send rate.
+func TestPollTruncationAndCounterReset(t *testing.T) {
+	var daemon atomic.Pointer[http.ServeMux]
+	boot := func(sent int64) *obs.Scope {
+		sc := obs.NewScope("d1", "test", obs.WithTraceCap(4))
+		sc.Reg.Counter(obs.LabelName("spread_wire_sent_msgs", "data")).Add(sent)
+		daemon.Store(obs.Mux(sc))
+		return sc
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		daemon.Load().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	cl := &http.Client{Timeout: 5 * time.Second}
+	mon := newMonitor(time.Minute, time.Second, "")
+	mon.addNode("d1", srv.URL)
+
+	record := func(sc *obs.Scope, k int) {
+		for i := 0; i < k; i++ {
+			sc.Record(obs.Event{Comp: "spread", Kind: "tick", T: time.Now()})
+		}
+	}
+	truncations := func(v *FleetView) int {
+		n := 0
+		for _, a := range v.Alerts {
+			if strings.Contains(a, "trace truncated") {
+				n++
+			}
+		}
+		return n
+	}
+
+	sc := boot(50)
+	record(sc, 10)
+	mon.poll(cl, "d1")
+	if v := mon.view(time.Now()); len(v.Alerts) != 0 || v.Nodes[0].Events != 4 {
+		t.Fatalf("first poll of a wrapped ring: events=%d alerts=%v, want 4 and none",
+			v.Nodes[0].Events, v.Alerts)
+	}
+
+	record(sc, 10)
+	mon.poll(cl, "d1")
+	if v := mon.view(time.Now()); truncations(v) != 1 || v.Nodes[0].Truncated != 1 {
+		t.Fatalf("wrap between polls: alerts=%v, want exactly one trace truncated", v.Alerts)
+	}
+
+	boot(5)
+	mon.poll(cl, "d1")
+	v := mon.view(time.Now())
+	if !v.Nodes[0].Connected || truncations(v) != 1 {
+		t.Fatalf("after restart: node=%+v alerts=%v", v.Nodes[0], v.Alerts)
+	}
+	// 50 before the restart plus the new incarnation's 5.
+	r := v.SendRates["data"]
+	if r.MsgsPerSec < 0 || r.MsgsPerSec*v.WindowSec < 54.9 || r.MsgsPerSec*v.WindowSec > 55.1 {
+		t.Fatalf("rate after a counter reset = %.2f msg/s over %.2fs, want 55 msgs", r.MsgsPerSec, v.WindowSec)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -120,7 +121,7 @@ func collect(cl *http.Client, targets []obs.Endpoint, group string) *analyze.Bun
 		ns := analyze.NodeSnapshot{Node: t.Name, Addr: t.Addr}
 
 		var mp obs.MetricsPayload
-		if err := fetchJSON(cl, t.Addr+"/metrics", &mp); err != nil {
+		if err := obs.FetchJSON(cl, t.Addr, "/metrics", nil, &mp); err != nil {
 			ns.Error = err.Error()
 		} else {
 			ns.Metrics, ns.Process = mp.Metrics, mp.Process
@@ -129,11 +130,11 @@ func collect(cl *http.Client, targets []obs.Endpoint, group string) *analyze.Bun
 			}
 
 			var tp obs.TracePayload
-			traceURL := t.Addr + "/trace"
+			var q url.Values
 			if group != "" {
-				traceURL += "?group=" + group
+				q = url.Values{"group": {group}}
 			}
-			if err := fetchJSON(cl, traceURL, &tp); err != nil {
+			if err := obs.FetchJSON(cl, t.Addr, "/trace", q, &tp); err != nil {
 				ns.Error = err.Error()
 			} else {
 				ns.TotalRecorded, ns.Events = tp.Total, tp.Events
@@ -143,18 +144,6 @@ func collect(cl *http.Client, targets []obs.Endpoint, group string) *analyze.Bun
 		b.Nodes = append(b.Nodes, ns)
 	}
 	return b
-}
-
-func fetchJSON(cl *http.Client, url string, v any) error {
-	resp, err := cl.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: %s", url, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // ---- report ----

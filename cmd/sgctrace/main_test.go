@@ -142,3 +142,38 @@ func TestCollectAllUnreachable(t *testing.T) {
 		t.Fatalf("bundle = %+v", b)
 	}
 }
+
+// TestCollectGroupFilter collects one daemon's trace filtered to each
+// group: the bundle holds that group's events plus the group-less ones. A
+// group name with a query metacharacter must reach the daemon intact.
+func TestCollectGroupFilter(t *testing.T) {
+	sc := obs.NewScope("d1", "test")
+	for _, e := range []obs.Event{
+		{Comp: "spread", Kind: "view-install"},
+		{Comp: "core", Kind: "key-install", Group: "a"},
+		{Comp: "core", Kind: "key-install", Group: "a&b"},
+		{Comp: "core", Kind: "first-send", Group: "a&b"},
+	} {
+		sc.Record(e)
+	}
+	srv := httptest.NewServer(obs.Mux(sc))
+	defer srv.Close()
+	cl := &http.Client{Timeout: 2 * time.Second}
+
+	for _, c := range []struct {
+		group string
+		want  []string
+	}{
+		{"a", []string{"/view-install", "a/key-install"}},
+		{"a&b", []string{"/view-install", "a&b/key-install", "a&b/first-send"}},
+	} {
+		b := collect(cl, []obs.Endpoint{{Name: "d1", Addr: srv.URL}}, c.group)
+		var got []string
+		for _, e := range b.Nodes[0].Events {
+			got = append(got, e.Group+"/"+e.Kind)
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("collect -group %q = %v, want %v", c.group, got, c.want)
+		}
+	}
+}

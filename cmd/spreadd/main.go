@@ -38,7 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/analyze"
 	"repro/internal/obs/flight"
-	"repro/internal/obs/stream"
 	"repro/internal/spread"
 	"repro/internal/transport"
 )
@@ -62,7 +61,7 @@ func main() {
 	flag.StringVar(&opt.config, "config", "", "segment configuration file")
 	flag.DurationVar(&opt.heartbeat, "heartbeat", 20*time.Millisecond, "heartbeat interval")
 	flag.StringVar(&opt.clientListen, "client-listen", "", "optional host:port to serve remote clients on")
-	flag.StringVar(&opt.debugAddr, "debug-addr", "", "optional host:port for the introspection endpoints (/metrics, /trace, /events, /debug/pprof)")
+	flag.StringVar(&opt.debugAddr, "debug-addr", "", "optional host:port for the introspection endpoints that sgcmon and sgctrace poll (/metrics, /trace, /healthz, /readyz, /debug/pprof)")
 	flag.StringVar(&opt.joinGroup, "join-group", "", "optional: run an embedded secure client that joins this group (its rekeys land in this daemon's /trace and /metrics)")
 	flag.StringVar(&opt.joinProto, "join-proto", "cliques", "embedded client key agreement protocol: cliques|ckd")
 	flag.DurationVar(&opt.joinDelay, "join-delay", 0, "wait this long after the full daemon view before the embedded client joins (stagger across daemons to get join-classified rekeys)")
@@ -116,11 +115,9 @@ func run(opt options) error {
 			d.Stop()
 			return fmt.Errorf("debug listener: %w", err)
 		}
-		// /readyz answers from the daemon's own health view; /events is the
-		// live stream sgcmon subscribes to.
-		mux := obs.Mux(d.Obs(), obs.WithReadiness(d.Readiness))
-		stream.Attach(mux, d.Obs(), stream.Options{})
-		debug = &http.Server{Handler: mux}
+		// /readyz answers from the daemon's own health view; sgcmon polls
+		// /trace?since and /metrics.
+		debug = &http.Server{Handler: obs.Mux(d.Obs(), obs.WithReadiness(d.Readiness))}
 		go func() {
 			if err := debug.Serve(ln); err != http.ErrServerClosed {
 				log.Printf("debug server: %v", err)

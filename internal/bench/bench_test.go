@@ -66,6 +66,19 @@ func TestMeasureCPU(t *testing.T) {
 	}
 }
 
+// TestMeasureCPURestoresBatchWorkers checks that the one-worker pin of the
+// timed region does not leak into the caller's pool width.
+func TestMeasureCPURestoresBatchWorkers(t *testing.T) {
+	prev := dh.SetBatchWorkers(3)
+	defer dh.SetBatchWorkers(prev)
+	if _, err := MeasureCPU("cliques", 3, 1, dh.Group512); err != nil {
+		t.Fatal(err)
+	}
+	if got := dh.SetBatchWorkers(3); got != 3 {
+		t.Fatalf("batch workers after MeasureCPU = %d, want the prior 3", got)
+	}
+}
+
 func TestModExpCost(t *testing.T) {
 	d := ModExpCost(dh.Group512, 8)
 	if d <= 0 || d > time.Second {

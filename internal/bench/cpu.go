@@ -20,7 +20,8 @@ type CPUTiming struct {
 	Batch    int
 	// Join and Leave are the total protocol computation times for one
 	// operation (all members' work; the in-memory bus executes it
-	// serially, so wall time equals CPU time).
+	// serially and MeasureCPU pins the exponentiation batch pool to one
+	// worker, so wall time equals CPU time).
 	Join  time.Duration
 	Leave time.Duration
 	// JoinExps and LeaveExps are the total exponentiation counts across
@@ -53,11 +54,14 @@ func ModExpCost(g *dh.Group, iters int) time.Duration {
 }
 
 // MeasureCPU measures Figure 4's join and leave computation times for the
-// given protocol at group size n.
+// given protocol at group size n. It runs every protocol step's
+// exponentiation batch on one worker and restores the prior pool width on
+// return: a parallel batch would time wall time below CPU time.
 func MeasureCPU(proto string, n, batch int, group *dh.Group) (CPUTiming, error) {
 	if n < 2 {
 		return CPUTiming{}, fmt.Errorf("bench: cpu timing needs n >= 2")
 	}
+	defer dh.SetBatchWorkers(dh.SetBatchWorkers(1))
 	if group == nil {
 		group = dh.Group512
 	}

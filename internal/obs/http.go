@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"strconv"
 	"strings"
 )
@@ -26,8 +27,9 @@ import (
 //	/debug/pprof/     the standard runtime profiles
 //
 // All responses are well-formed JSON except /metrics?format=prom,
-// /trace?text=1 and the pprof pages. The live streaming endpoint
-// (/events, SSE) is attached by internal/obs/stream onto the same mux.
+// /trace?text=1 and the pprof pages. /trace?since and /metrics are the
+// one incremental export: sgcmon polls both per node per interval, and
+// the daemon keeps no per-reader state.
 
 // MetricsPayload is the /metrics JSON response shape. sgctrace decodes it
 // when collecting snapshot bundles from a live cluster.
@@ -174,4 +176,23 @@ func ParseEndpoints(args []string) ([]Endpoint, error) {
 		out = append(out, Endpoint{Name: name, Addr: strings.TrimRight(addr, "/")})
 	}
 	return out, nil
+}
+
+// FetchJSON GETs addr+path with the query q (nil for none) and decodes the
+// JSON reply into v; a status other than 200 is an error. It is the one
+// client of the endpoints above (sgctrace collect, sgcmon).
+func FetchJSON(cl *http.Client, addr, path string, q url.Values, v any) error {
+	u := addr + path
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	resp, err := cl.Get(u)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %s", u, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }

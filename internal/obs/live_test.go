@@ -11,8 +11,8 @@ import (
 	"time"
 )
 
-// TestEventsSinceCursor pins the incremental-read contract the live
-// stream depends on: a cursor inside the retained window reads exactly
+// TestEventsSinceCursor pins the incremental-read contract the fleet
+// monitor's polls depend on: a cursor inside the retained window reads exactly
 // the new events, a cursor the ring wrapped past gets an explicit
 // truncated marker, and an up-to-date cursor reads nothing.
 func TestEventsSinceCursor(t *testing.T) {
@@ -111,70 +111,6 @@ func TestTraceSinceEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad cursor: status %d, want 400", resp.StatusCode)
-	}
-}
-
-func TestSnapshotDiffFrom(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("a").Add(5)
-	reg.Counter("b").Add(2)
-	reg.Gauge("g").Set(7)
-	reg.Histogram("h", []time.Duration{time.Millisecond, 10 * time.Millisecond}).Observe(500 * time.Microsecond)
-	prev := reg.Snapshot()
-
-	reg.Counter("a").Add(3)
-	reg.Gauge("g").Set(9)
-	h := reg.Histogram("h", nil)
-	h.Observe(5 * time.Millisecond)
-	h.Observe(20 * time.Millisecond)
-	cur := reg.Snapshot()
-
-	d := cur.DiffFrom(prev)
-	if d.Counters["a"] != 3 {
-		t.Fatalf("counter a delta = %d, want 3", d.Counters["a"])
-	}
-	if _, ok := d.Counters["b"]; ok {
-		t.Fatalf("unchanged counter b must be dropped from the delta")
-	}
-	if d.Gauges["g"] != 9 {
-		t.Fatalf("gauge g = %d, want instantaneous 9", d.Gauges["g"])
-	}
-	hd := d.Histograms["h"]
-	if hd.Count != 2 {
-		t.Fatalf("histogram delta count = %d, want 2", hd.Count)
-	}
-	wantBuckets := []int64{0, 1, 1} // <=1ms, <=10ms, +Inf
-	for i, b := range hd.Buckets {
-		if b.Count != wantBuckets[i] {
-			t.Fatalf("bucket %d delta = %d, want %d", i, b.Count, wantBuckets[i])
-		}
-	}
-	if got := hd.MeanMs; got < 12.4 || got > 12.6 {
-		t.Fatalf("delta mean = %v ms, want 12.5", got)
-	}
-
-	// Base + every delta reproduces the final counters and buckets.
-	var acc Snapshot
-	acc.AddInto(prev)
-	acc.AddInto(d)
-	if acc.Counters["a"] != 8 || acc.Counters["b"] != 2 {
-		t.Fatalf("accumulated counters = %v, want a=8 b=2", acc.Counters)
-	}
-	if acc.Histograms["h"].Count != 3 {
-		t.Fatalf("accumulated histogram count = %d, want 3", acc.Histograms["h"].Count)
-	}
-
-	// Diff against the zero snapshot is the full snapshot (the stream's
-	// first frame).
-	full := cur.DiffFrom(Snapshot{})
-	if full.Counters["a"] != 8 || full.Histograms["h"].Count != 3 {
-		t.Fatalf("diff from zero must carry full values, got %v", full)
-	}
-
-	// A counter that went backwards (restart) carries its new value.
-	lower := Snapshot{Counters: map[string]int64{"a": 1}}
-	if got := lower.DiffFrom(cur).Counters["a"]; got != 1 {
-		t.Fatalf("reset counter delta = %d, want full new value 1", got)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/bin/sh
 # mon-smoke: the live-monitoring gate. Boot a 3-daemon TCP cluster with
-# streaming telemetry and armed flight recorders, let sgcmon watch it
+# polled introspection endpoints and armed flight recorders, let sgcmon watch it
 # converge (one-shot evaluation must exit 0 with zero alerts), then kill a
 # daemon and require the failure to surface on every layer: sgcmon's
 # one-shot evaluation exits 3 with an unreachable alert, the survivors'
@@ -72,7 +72,7 @@ done
 
 TARGETS="d1=http://127.0.0.1:15901 d2=http://127.0.0.1:15902 d3=http://127.0.0.1:15903"
 
-# Phase 1: the healthy fleet. One-shot sgcmon must see every stream, a
+# Phase 1: the healthy fleet. One-shot sgcmon must poll every node, a
 # single converged view/epoch, and no alerts (exit 0).
 echo "mon-smoke: sgcmon one-shot over the healthy fleet"
 if ! "$WORK/sgcmon" -once -duration 5s $TARGETS > "$WORK/mon-healthy.txt" 2>&1; then
@@ -90,7 +90,7 @@ sed -n '1,12p' "$WORK/mon-healthy.txt"
 
 # Phase 2: kill d3 without ceremony. The survivors' redial supervisors
 # mark the link down, their flight recorders trip on the alert, and the
-# monitor sees the dead stream.
+# monitor's polls of d3 fail.
 echo "mon-smoke: killing d3"
 kill -9 "$PID_D3" 2>/dev/null || true
 
