@@ -219,7 +219,8 @@ func TestWireKind(t *testing.T) {
 func TestPollTruncationAndCounterReset(t *testing.T) {
 	var daemon atomic.Pointer[http.ServeMux]
 	boot := func(sent int64) *obs.Scope {
-		sc := obs.NewScope("d1", "test", obs.WithTraceCap(4))
+		sc := obs.NewScope("d1", "test")
+		sc.Rec = obs.NewRecorder("d1", 4)
 		sc.Reg.Counter(obs.LabelName("spread_wire_sent_msgs", "data")).Add(sent)
 		daemon.Store(obs.Mux(sc))
 		return sc

@@ -1,6 +1,6 @@
 // Package auth holds the message-authentication helpers shared by the key
-// agreement modules: canonical byte encoding for MAC inputs, HMAC-SHA256
-// tagging, and pairwise long-term Diffie-Hellman key derivation.
+// agreement modules: canonical byte encoding for MAC inputs and
+// HMAC-SHA256 tagging.
 package auth
 
 import (
@@ -11,25 +11,7 @@ import (
 	"fmt"
 	"math/big"
 	"sort"
-
-	"repro/internal/dh"
-	"repro/internal/kga"
 )
-
-// PairwiseKey derives the long-term pairwise key between the caller
-// (private exponent x) and the named peer, counting one exponentiation
-// under label. The result keys an HMAC.
-func PairwiseKey(g *dh.Group, x *big.Int, dir kga.Directory, peer string, c *dh.Counter, label string) ([]byte, error) {
-	pub, err := dir.PubKey(peer)
-	if err != nil {
-		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
-	}
-	if err := g.CheckElement(pub); err != nil {
-		return nil, fmt.Errorf("pubkey of %s: %w", peer, err)
-	}
-	k := g.Exp(pub, x, c, label)
-	return k.Bytes(), nil
-}
 
 // MACTag computes HMAC-SHA256 over parts under key.
 func MACTag(key []byte, parts ...[]byte) []byte {

@@ -97,13 +97,3 @@ func (r *Report) AnomalyLines() []string {
 	}
 	return out
 }
-
-// CausalLines renders the causal-order violations as strings (for sgcmon
-// alerts and the chaos harness).
-func (r *Report) CausalLines() []string {
-	out := make([]string, 0, len(r.Causal))
-	for _, v := range r.Causal {
-		out = append(out, v.String())
-	}
-	return out
-}

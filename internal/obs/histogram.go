@@ -1,8 +1,8 @@
 package obs
 
 import (
+	"math"
 	"slices"
-	"strconv"
 	"time"
 )
 
@@ -44,32 +44,21 @@ func MergeHistograms(a, b HistogramSnapshot) HistogramSnapshot {
 
 // Quantile estimates the q-quantile (0..1) in milliseconds from the
 // bucket counts, by linear interpolation within the owning bucket. The
-// overflow bucket has no upper bound; observations there report the
-// histogram's recorded maximum.
+// interpolation range is the bucket's bounds narrowed to the recorded
+// [MinMs, MaxMs], so no estimate lies outside what was observed: q = 0
+// reads the minimum, q = 1 the maximum, and the overflow bucket spans its
+// lower bound to the maximum.
 func (h HistogramSnapshot) Quantile(q float64) float64 {
 	if h.Count == 0 {
 		return 0
 	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(h.Count)
-	cum := int64(0)
-	lower := 0.0
+	rank := min(max(q, 0), 1) * float64(h.Count)
+	cum, lower := int64(0), 0.0
 	for _, b := range h.Buckets {
-		if b.Count == 0 {
-			continue
-		}
-		upper, ok := bucketBoundMs(b.LE)
-		if !ok {
-			return h.MaxMs
-		}
-		if float64(cum+b.Count) >= rank {
-			frac := (rank - float64(cum)) / float64(b.Count)
-			return lower + (upper-lower)*frac
+		upper := bucketBoundMs(b.LE)
+		if b.Count > 0 && float64(cum+b.Count) >= rank {
+			lo, hi := max(lower, h.MinMs), min(upper, h.MaxMs)
+			return lo + (hi-lo)*(rank-float64(cum))/float64(b.Count)
 		}
 		cum += b.Count
 		lower = upper
@@ -78,16 +67,11 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 }
 
 // bucketBoundMs parses a snapshot bucket bound (a time.Duration string)
-// into milliseconds; ok is false for the overflow bucket.
-func bucketBoundMs(le string) (float64, bool) {
-	if le == "+Inf" {
-		return 0, false
+// into milliseconds; the overflow bucket's "+Inf" reads as infinity.
+func bucketBoundMs(le string) float64 {
+	d, err := time.ParseDuration(le)
+	if err != nil {
+		return math.Inf(1)
 	}
-	if d, err := time.ParseDuration(le); err == nil {
-		return float64(d) / 1e6, true
-	}
-	if v, err := strconv.ParseFloat(le, 64); err == nil {
-		return v, true
-	}
-	return 0, false
+	return float64(d) / 1e6
 }

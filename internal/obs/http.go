@@ -14,8 +14,7 @@ import (
 //
 //	/metrics          expvar-style JSON: the node's registry plus the
 //	                  process-global Default registry (runtime gauges are
-//	                  sampled into Default on every scrape); &format=prom
-//	                  renders Prometheus text exposition instead
+//	                  sampled into Default on every scrape)
 //	/trace?group=G    the node's recent causal event ring, optionally
 //	                  filtered to one group; &text=1 renders plain lines;
 //	                  &since=SEQ returns only events past the cursor with
@@ -26,10 +25,11 @@ import (
 //	                  node is degraded (see WithReadiness)
 //	/debug/pprof/     the standard runtime profiles
 //
-// All responses are well-formed JSON except /metrics?format=prom,
-// /trace?text=1 and the pprof pages. /trace?since and /metrics are the
-// one incremental export: sgcmon polls both per node per interval, and
-// the daemon keeps no per-reader state.
+// Every response is compact JSON except /trace?text=1 and the pprof
+// pages: the readers are programs (sgctrace collect, sgcmon, the smoke
+// scripts), so the replies carry no indentation. /trace?since and
+// /metrics are the one incremental export: sgcmon polls both per node
+// per interval, and the daemon keeps no per-reader state.
 
 // MetricsPayload is the /metrics JSON response shape. sgctrace decodes it
 // when collecting snapshot bundles from a live cluster.
@@ -52,11 +52,10 @@ type TracePayload struct {
 	Truncated bool    `json:"truncated,omitempty"`
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // MuxOption extends the debug handler built by Mux.
@@ -87,14 +86,7 @@ func Mux(sc *Scope, opts ...MuxOption) *http.ServeMux {
 		if sc.Reg != nil {
 			p.Metrics = sc.Reg.Snapshot()
 		}
-		if r.URL.Query().Get("format") == "prom" {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			// The node registry wins a name collision with the process
-			// registry: duplicate metric families are invalid exposition.
-			WritePrometheus(w, p.Metrics, p.Process)
-			return
-		}
-		writeJSON(w, p)
+		writeJSON(w, http.StatusOK, p)
 	})
 
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
@@ -124,27 +116,23 @@ func Mux(sc *Scope, opts ...MuxOption) *http.ServeMux {
 			}
 			return
 		}
-		writeJSON(w, p)
+		writeJSON(w, http.StatusOK, p)
 	})
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]string{"status": "ok", "node": sc.Node})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "node": sc.Node})
 	})
 
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		if cfg.ready != nil {
 			if err := cfg.ready(); err != nil {
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusServiceUnavailable)
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(map[string]string{
+				writeJSON(w, http.StatusServiceUnavailable, map[string]string{
 					"status": "degraded", "node": sc.Node, "reason": err.Error(),
 				})
 				return
 			}
 		}
-		writeJSON(w, map[string]string{"status": "ready", "node": sc.Node})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ready", "node": sc.Node})
 	})
 
 	mux.HandleFunc("/debug/pprof/", pprof.Index)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -63,7 +64,8 @@ func TestEventsSinceCursor(t *testing.T) {
 // /trace?since= endpoint: a wrapped cursor must yield an explicit
 // truncated marker in the payload, not silently missing events.
 func TestTraceSinceEndpoint(t *testing.T) {
-	sc := NewScope("n1", "test", WithTraceCap(4))
+	sc := NewScope("n1", "test")
+	sc.Rec = NewRecorder("n1", 4)
 	for i := 1; i <= 10; i++ {
 		sc.Record(Event{Comp: "test", Kind: fmt.Sprintf("ev-%d", i)})
 	}
@@ -157,6 +159,40 @@ func TestHistogramMergeAndQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantileWithinObserved pins the two quantile defects: an estimate
+// past the recorded maximum (interpolating to the owning bucket's upper
+// bound) and one from the wrong bucket (the lower bound not advancing over
+// empty buckets). Every estimate lies in [MinMs, MaxMs] and in its owning
+// bucket.
+func TestQuantileWithinObserved(t *testing.T) {
+	ms := func(v float64) time.Duration { return time.Duration(v * 1e6) }
+	cases := []struct {
+		name string
+		obs  []float64 // milliseconds, default buckets
+		q    float64
+		want float64
+	}{
+		{"p99 stops at the maximum", []float64{7, 7, 12.73}, 0.99, 10 + 2.73*0.97},
+		{"p0 is the minimum", []float64{7, 7, 12.73}, 0, 7},
+		{"p100 is the maximum", []float64{7, 7, 12.73}, 1, 12.73},
+		{"empty bucket is skipped", []float64{0.4, 1.5}, 0.6, 1.1},
+		{"overflow spans to the maximum", []float64{1, 6000, 8000}, 0.5, 5000 + 3000*0.25},
+	}
+	for _, c := range cases {
+		reg := NewRegistry()
+		h := reg.Histogram("h", nil)
+		for _, v := range c.obs {
+			h.Observe(ms(v))
+		}
+		snap := reg.Snapshot().Histograms["h"]
+		got := snap.Quantile(c.q)
+		if math.Abs(got-c.want) > 1e-9 || got < snap.MinMs || got > snap.MaxMs {
+			t.Errorf("%s: Quantile(%v) = %v, want %v within [%v, %v]",
+				c.name, c.q, got, c.want, snap.MinMs, snap.MaxMs)
+		}
+	}
+}
+
 func TestSampleRuntime(t *testing.T) {
 	reg := NewRegistry()
 	SampleRuntime(reg)
@@ -180,8 +216,8 @@ func TestSampleRuntime(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeSamplesRuntime pins the satellite contract: every
-// /metrics scrape carries the runtime gauges in both expositions.
+// TestMetricsScrapeSamplesRuntime pins that every /metrics scrape carries
+// the runtime gauges and the GC pause counter.
 func TestMetricsScrapeSamplesRuntime(t *testing.T) {
 	sc := NewScope("n1", "test")
 	srv := httptest.NewServer(Mux(sc))
@@ -202,20 +238,49 @@ func TestMetricsScrapeSamplesRuntime(t *testing.T) {
 	if p.Process.Gauges["go_heap_alloc_bytes"] <= 0 {
 		t.Fatalf("JSON scrape missing go_heap_alloc_bytes")
 	}
+	if _, ok := p.Process.Counters["go_gc_pauses_total"]; !ok {
+		t.Fatalf("JSON scrape missing go_gc_pauses_total")
+	}
+}
 
-	resp, err = http.Get(srv.URL + "/metrics?format=prom")
+// TestMetricsEndpointJSON serves one registry state through the debug mux
+// and checks the JSON payload carries it: node name, counters and
+// histograms under their "name{label}" keys.
+func TestMetricsEndpointJSON(t *testing.T) {
+	sc := NewScope("d01", "obstest")
+	sc.Reg.Counter(LabelName("wire_msgs", "send")).Add(7)
+	sc.Reg.Gauge("group_members").Set(3)
+	h := sc.Reg.Histogram(LabelName("rekey_latency", "join"),
+		[]time.Duration{time.Millisecond, 10 * time.Millisecond})
+	h.Observe(500 * time.Microsecond)
+	h.Observe(2 * time.Millisecond)
+	h.Observe(time.Second)
+
+	srv := httptest.NewServer(Mux(sc))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Errorf("/metrics Content-Type = %q, want application/json", ct)
 	}
-	for _, want := range []string{"go_goroutines", "go_heap_alloc_bytes", "go_gc_pauses_total"} {
-		if !strings.Contains(string(raw), want) {
-			t.Fatalf("prom scrape missing %s:\n%s", want, raw)
-		}
+	var p MetricsPayload
+	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
+		t.Fatalf("/metrics is not valid JSON: %v", err)
+	}
+	if p.Node != "d01" {
+		t.Errorf("payload node = %q, want d01", p.Node)
+	}
+	if p.Metrics.Counters["wire_msgs{send}"] != 7 {
+		t.Errorf("JSON counter = %d, want 7", p.Metrics.Counters["wire_msgs{send}"])
+	}
+	if p.Metrics.Gauges["group_members"] != 3 {
+		t.Errorf("JSON gauge = %d, want 3", p.Metrics.Gauges["group_members"])
+	}
+	if p.Metrics.Histograms["rekey_latency{join}"].Count != 3 {
+		t.Errorf("JSON histogram count = %d, want 3", p.Metrics.Histograms["rekey_latency{join}"].Count)
 	}
 }
 
@@ -260,6 +325,33 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	fail = true
 	check("/healthz", http.StatusOK, "ok") // liveness ignores degradation
 	check("/readyz", http.StatusServiceUnavailable, "degraded")
+
+	// Replies are compact (no indentation) and still decode into their
+	// payload types, the degraded probe (503 with a reason, checked
+	// above) included.
+	sc.Record(Event{Comp: "test", Kind: "view-install", Group: "g"})
+	sc.Reg.Observe(LabelName("rekey_latency", "join"), 3*time.Millisecond)
+	for path, v := range map[string]any{
+		"/metrics":       &MetricsPayload{},
+		"/trace?since=0": &TracePayload{},
+		"/readyz":        &map[string]string{},
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(raw), "\n ") {
+			t.Errorf("GET %s: indented reply:\n%s", path, raw)
+		}
+		if err := json.Unmarshal(raw, v); err != nil {
+			t.Errorf("GET %s: %v", path, err)
+		}
+	}
 	fail = false
 	check("/readyz", http.StatusOK, "ready")
 
@@ -273,72 +365,5 @@ func TestHealthzReadyzSplit(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/readyz without hook = %d, want 200", resp.StatusCode)
-	}
-}
-
-// TestWritePrometheusGolden pins the exposition byte-for-byte against the
-// 0.0.4 text format: cumulative buckets ending in +Inf, _sum/_count pairs,
-// label escaping for detail-derived names, full-precision sub-microsecond
-// bounds, and family-name sanitization.
-func TestWritePrometheusGolden(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter(LabelName("wire_sent", `he said "hi"\n`)).Add(3)
-	reg.Counter("plain_total").Add(7)
-	reg.Gauge("spread.clients").Set(2)
-	h := reg.Histogram("tiny_latency", []time.Duration{250 * time.Nanosecond, 500 * time.Nanosecond, time.Millisecond})
-	h.Observe(100 * time.Nanosecond)
-	h.Observe(400 * time.Nanosecond)
-	h.Observe(2 * time.Millisecond)
-
-	var b strings.Builder
-	WritePrometheus(&b, reg.Snapshot())
-
-	want := `# TYPE plain_total counter
-plain_total 7
-# TYPE wire_sent counter
-wire_sent{label="he said \"hi\"\\n"} 3
-# TYPE spread_clients gauge
-spread_clients 2
-# TYPE tiny_latency_seconds histogram
-tiny_latency_seconds_bucket{le="2.5e-07"} 1
-tiny_latency_seconds_bucket{le="5e-07"} 2
-tiny_latency_seconds_bucket{le="0.001"} 2
-tiny_latency_seconds_bucket{le="+Inf"} 3
-tiny_latency_seconds_sum 0.0020005
-tiny_latency_seconds_count 3
-`
-	if b.String() != want {
-		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", b.String(), want)
-	}
-}
-
-// TestWritePrometheusCrossKindFamily pins the audit fix: a counter and a
-// gauge sharing one name must not both emit — duplicate family names with
-// conflicting TYPE lines are invalid exposition. First kind wins.
-func TestWritePrometheusCrossKindFamily(t *testing.T) {
-	snap := Snapshot{
-		Counters: map[string]int64{"x": 1},
-		Gauges:   map[string]int64{"x": 2},
-	}
-	var b strings.Builder
-	WritePrometheus(&b, snap)
-	out := b.String()
-	if strings.Count(out, "# TYPE x ") != 1 {
-		t.Fatalf("family x must have exactly one TYPE line:\n%s", out)
-	}
-
-	// A histogram named "x" plus a counter named "x_seconds" collide on
-	// the rendered family; the histogram claims it first.
-	reg := NewRegistry()
-	reg.Histogram("x", nil).Observe(time.Millisecond)
-	reg.Counter("x_seconds").Add(9)
-	b.Reset()
-	WritePrometheus(&b, reg.Snapshot())
-	out = b.String()
-	if strings.Contains(out, "# TYPE x_seconds counter") {
-		t.Fatalf("counter x_seconds must lose the family to the histogram:\n%s", out)
-	}
-	if !strings.Contains(out, "# TYPE x_seconds histogram") {
-		t.Fatalf("histogram family missing:\n%s", out)
 	}
 }

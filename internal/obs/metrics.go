@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,31 +157,6 @@ type Registry struct {
 	ctrs   map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	// defaultBounds overrides DefaultLatencyBuckets for histograms
-	// created with nil bounds (see SetDefaultBuckets).
-	defaultBounds []time.Duration
-}
-
-// SetDefaultBuckets replaces the bucket bounds used for histograms created
-// with nil bounds. Bounds must be non-empty, strictly increasing, and
-// positive; invalid bounds are rejected (the previous default stays) and
-// reported. Existing histograms keep their bounds.
-func (r *Registry) SetDefaultBuckets(bounds []time.Duration) error {
-	if len(bounds) == 0 {
-		return errors.New("obs: empty histogram bucket bounds")
-	}
-	for i, b := range bounds {
-		if b <= 0 {
-			return fmt.Errorf("obs: histogram bucket bound %v is not positive", b)
-		}
-		if i > 0 && bounds[i-1] >= b {
-			return fmt.Errorf("obs: histogram bucket bounds not strictly increasing at %v", b)
-		}
-	}
-	r.mu.Lock()
-	r.defaultBounds = append([]time.Duration(nil), bounds...)
-	r.mu.Unlock()
-	return nil
 }
 
 // NewRegistry returns an empty registry.
@@ -228,9 +200,6 @@ func (r *Registry) Histogram(name string, bounds []time.Duration) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
 	if !ok {
-		if bounds == nil {
-			bounds = r.defaultBounds
-		}
 		h = newHistogram(bounds)
 		r.hists[name] = h
 	}
@@ -281,16 +250,4 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.ctrs))
-	for k := range r.ctrs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -21,10 +21,7 @@
 // append, and disabled log levels cost one atomic load.
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Default is the process-global registry. Process-wide instruments that
 // have no natural per-node owner (the crypt Seal/Open throughput counters)
@@ -45,44 +42,13 @@ type Scope struct {
 	Log  *Logger
 }
 
-// ScopeOption tunes a scope built by NewScope.
-type ScopeOption func(*scopeConfig)
-
-type scopeConfig struct {
-	traceCap int
-	buckets  []time.Duration
-}
-
-// WithTraceCap sets the scope's trace ring capacity. Zero or negative
-// values fall back to the default (the SGC_TRACE_CAP environment variable,
-// else DefaultRingSize).
-func WithTraceCap(n int) ScopeOption {
-	return func(c *scopeConfig) { c.traceCap = n }
-}
-
-// WithLatencyBuckets sets the default histogram bucket bounds of the
-// scope's registry (the rekey-latency and flush-round histograms are
-// created through it). Invalid bounds — empty, non-positive, or not
-// strictly increasing — are ignored and the package default stays.
-func WithLatencyBuckets(bounds []time.Duration) ScopeOption {
-	return func(c *scopeConfig) { c.buckets = bounds }
-}
-
 // NewScope builds a scope with a fresh recorder and registry for the named
 // node, logging as the given component.
-func NewScope(node, component string, opts ...ScopeOption) *Scope {
-	var cfg scopeConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	reg := NewRegistry()
-	if cfg.buckets != nil {
-		_ = reg.SetDefaultBuckets(cfg.buckets)
-	}
+func NewScope(node, component string) *Scope {
 	return &Scope{
 		Node: node,
-		Rec:  NewRecorder(node, cfg.traceCap),
-		Reg:  reg,
+		Rec:  NewRecorder(node, 0),
+		Reg:  NewRegistry(),
 		Log:  L(component),
 	}
 }

@@ -2,9 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"os"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 )
@@ -73,22 +71,6 @@ func (e Event) String() string {
 // overwritten once the ring wraps.
 const DefaultRingSize = 2048
 
-// maxRingSize bounds a configured capacity so a typo in SGC_TRACE_CAP
-// cannot allocate an absurd buffer per node.
-const maxRingSize = 1 << 20
-
-// defaultRingSize resolves the ring capacity: the SGC_TRACE_CAP
-// environment variable when it parses to a sane positive integer, else
-// DefaultRingSize. Zero, negative, or oversized values are rejected.
-func defaultRingSize() int {
-	if v := os.Getenv("SGC_TRACE_CAP"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 && n <= maxRingSize {
-			return n
-		}
-	}
-	return DefaultRingSize
-}
-
 // Recorder is a fixed-capacity ring buffer of trace events, safe for
 // concurrent append. Recording is one mutexed slot write; the buffer never
 // grows, so a wedged reader cannot stall a writer and a long run cannot
@@ -102,12 +84,11 @@ type Recorder struct {
 	next uint64 // total events ever recorded
 }
 
-// NewRecorder builds a recorder for the named node. capacity <= 0 (or
-// beyond the sanity bound) falls back to SGC_TRACE_CAP, else
+// NewRecorder builds a recorder for the named node; capacity <= 0 means
 // DefaultRingSize.
 func NewRecorder(node string, capacity int) *Recorder {
-	if capacity <= 0 || capacity > maxRingSize {
-		capacity = defaultRingSize()
+	if capacity <= 0 {
+		capacity = DefaultRingSize
 	}
 	return &Recorder{node: node, clock: NewClock(), buf: make([]Event, capacity)}
 }

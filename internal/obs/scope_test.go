@@ -1,34 +1,21 @@
 package obs
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestTraceCapGuards pins the ring-capacity fallbacks: zero, negative and
-// absurd capacities never panic and fall back to a sane default, and the
-// SGC_TRACE_CAP environment variable is honoured only when valid.
+// TestTraceCapGuards pins the ring-capacity fallback: zero and negative
+// capacities never panic and fall back to DefaultRingSize.
 func TestTraceCapGuards(t *testing.T) {
 	cases := []struct {
 		name string
-		env  string
 		cap  int
 		want int
 	}{
-		{"explicit", "", 16, 16},
-		{"zero falls back", "", 0, DefaultRingSize},
-		{"negative falls back", "", -5, DefaultRingSize},
-		{"oversized falls back", "", maxRingSize + 1, DefaultRingSize},
-		{"env default", "512", 0, 512},
-		{"explicit beats env", "512", 16, 16},
-		{"env zero rejected", "0", 0, DefaultRingSize},
-		{"env negative rejected", "-3", 0, DefaultRingSize},
-		{"env junk rejected", "lots", 0, DefaultRingSize},
-		{"env oversized rejected", "9999999999", 0, DefaultRingSize},
+		{"explicit", 16, 16},
+		{"zero falls back", 0, DefaultRingSize},
+		{"negative falls back", -5, DefaultRingSize},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			t.Setenv("SGC_TRACE_CAP", c.env)
 			r := NewRecorder("n1", c.cap)
 			if got := r.Cap(); got != c.want {
 				t.Errorf("Cap() = %d, want %d", got, c.want)
@@ -41,55 +28,21 @@ func TestTraceCapGuards(t *testing.T) {
 	}
 }
 
-// TestScopeOptions checks NewScope plumbing: WithTraceCap reaches the
-// recorder (with the same zero/negative guard) and WithLatencyBuckets
-// replaces the default bounds of histograms created through the registry.
-func TestScopeOptions(t *testing.T) {
-	t.Setenv("SGC_TRACE_CAP", "")
-
-	sc := NewScope("n1", "obstest", WithTraceCap(8),
-		WithLatencyBuckets([]time.Duration{time.Second, 2 * time.Second}))
-	if sc.Rec.Cap() != 8 {
-		t.Errorf("trace cap = %d, want 8", sc.Rec.Cap())
+// TestNewScopeDefaults checks NewScope's fixed shape: a DefaultRingSize
+// trace ring, and histograms created with nil bounds (the rekey-latency
+// and flush-round ones) use DefaultLatencyBuckets.
+func TestNewScopeDefaults(t *testing.T) {
+	sc := NewScope("n1", "obstest")
+	if sc.Rec.Cap() != DefaultRingSize {
+		t.Errorf("trace cap = %d, want %d", sc.Rec.Cap(), DefaultRingSize)
 	}
 	h := sc.Reg.Histogram("rekey_latency{join}", nil).snapshot()
-	if len(h.Buckets) != 3 || h.Buckets[0].LE != "1s" || h.Buckets[1].LE != "2s" {
-		t.Errorf("custom buckets not applied: %+v", h.Buckets)
+	if len(h.Buckets) != len(DefaultLatencyBuckets)+1 {
+		t.Fatalf("nil bounds: %d buckets, want %d", len(h.Buckets), len(DefaultLatencyBuckets)+1)
 	}
-
-	bad := NewScope("n2", "obstest", WithTraceCap(-1),
-		WithLatencyBuckets(nil))
-	if bad.Rec.Cap() != DefaultRingSize {
-		t.Errorf("negative cap: got %d, want default %d", bad.Rec.Cap(), DefaultRingSize)
-	}
-	hb := bad.Reg.Histogram("rekey_latency{join}", nil).snapshot()
-	if len(hb.Buckets) != len(DefaultLatencyBuckets)+1 {
-		t.Errorf("nil bucket option changed defaults: %d buckets", len(hb.Buckets))
-	}
-}
-
-// TestSetDefaultBucketsValidation checks every rejection path keeps the
-// previous default in force.
-func TestSetDefaultBucketsValidation(t *testing.T) {
-	reg := NewRegistry()
-	good := []time.Duration{time.Millisecond, time.Second}
-	if err := reg.SetDefaultBuckets(good); err != nil {
-		t.Fatalf("valid bounds rejected: %v", err)
-	}
-	for name, bad := range map[string][]time.Duration{
-		"empty":          {},
-		"zero bound":     {0, time.Second},
-		"negative bound": {-time.Second, time.Second},
-		"not increasing": {time.Second, time.Second},
-		"decreasing":     {2 * time.Second, time.Second},
-	} {
-		if err := reg.SetDefaultBuckets(bad); err == nil {
-			t.Errorf("%s: invalid bounds accepted", name)
+	for i, b := range DefaultLatencyBuckets {
+		if h.Buckets[i].LE != b.String() {
+			t.Errorf("bucket %d le = %q, want %q", i, h.Buckets[i].LE, b)
 		}
-	}
-	// The last valid default must still be in force.
-	h := reg.Histogram("h", nil).snapshot()
-	if len(h.Buckets) != 3 || h.Buckets[0].LE != "1ms" || h.Buckets[1].LE != "1s" {
-		t.Errorf("default buckets lost after rejected updates: %+v", h.Buckets)
 	}
 }

@@ -43,7 +43,7 @@ echo "obs-smoke: waiting for the 3-daemon view"
 deadline=$(( $(date +%s) + 30 ))
 while :; do
     if curl -fsS "http://127.0.0.1:15801/metrics" 2>/dev/null \
-        | grep -q '"spread_views_installed": [1-9]'; then
+        | grep -q '"spread_views_installed": *[1-9]'; then
         break
     fi
     if [ "$(date +%s)" -gt "$deadline" ]; then
