@@ -1,16 +1,21 @@
 GO ?= go
 
-.PHONY: check vet no-gob layering one-injector build test race chaos chaos-tcp chaos-tcp-short \
+.PHONY: check fmt vet no-gob layering one-injector build test race chaos chaos-tcp chaos-tcp-short \
 	obs-smoke mon-smoke crit-smoke fuzz-smoke
 
-## check: the full local gate — vet, the one-wire-format guard (no-gob),
+## check: the full local gate — gofmt (fmt), vet, the one-wire-format guard (no-gob),
 ## the DESIGN.md §6 import graph (layering), the one-fault-injector guard
 ## (one-injector), build, tests, the race suite
 ## on the packages with concurrency-sensitive fast paths, a short chaos
 ## schedule replayed over real TCP sockets, and the causal-order gate.
 ## Performance is gated by the benchmark (`bash benchmark/run.sh`) and the
 ## exact-count tests, not here.
-check: vet no-gob layering one-injector build test race chaos-tcp-short crit-smoke
+check: fmt vet no-gob layering one-injector build test race chaos-tcp-short crit-smoke
+
+## fmt: every Go file in the repository, benchmark/ included, is
+## gofmt-clean; the target lists the files that are not and fails.
+fmt:
+	@files=$$(gofmt -l .) && [ -z "$$files" ] || { echo "not gofmt-clean:"; echo "$$files"; exit 1; }
 
 vet:
 	$(GO) vet ./...

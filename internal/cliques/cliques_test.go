@@ -91,6 +91,41 @@ func TestGroupKeyIsProductOfShares(t *testing.T) {
 	}
 }
 
+// TestMergeRefreshesOldSecret pins the merge controller's refreshed value:
+// the merged group's secret is the old secret raised to the controller's
+// refresh factor f and to every merging member's share, with f =
+// newShare·oldShare⁻¹ mod q. A controller that refreshes a base without its
+// own share still reaches agreement on a consistent key, so only this
+// algebra catches it.
+func TestMergeRefreshesOldSecret(t *testing.T) {
+	var prevKey *big.Int
+	prevShare := make(map[string]*big.Int)
+	merges := 0
+	replayRekeyScenarios(t, func(net *kgatest.Net, ev kga.Event) {
+		member := func(name string) *Member { return net.Member(name).(*Member) }
+		if ev.Type == kga.EvMerge {
+			merges++
+			ctrl := member(ev.Members[len(ev.Members)-len(ev.Joined)-1])
+			e := new(big.Int).ModInverse(prevShare[ctrl.name], testGroup.Q)
+			e.Mul(e, ctrl.share)
+			for _, name := range ev.Joined {
+				e.Mul(e, member(name).share)
+			}
+			e.Mod(e, testGroup.Q)
+			if new(big.Int).Exp(prevKey, e, testGroup.P).Cmp(ctrl.key.Secret) != 0 {
+				t.Errorf("merge of %v into %v: secret is not K_old^(f·merged shares)", ev.Joined, ev.Members)
+			}
+		}
+		prevKey = member(ev.Members[0]).key.Secret
+		for _, name := range ev.Members {
+			prevShare[name] = member(name).share
+		}
+	})
+	if merges == 0 {
+		t.Fatal("no merge in the rekey scenarios")
+	}
+}
+
 func TestEnginesDrawShortShares(t *testing.T) {
 	// Every exponent the engine draws goes through dh.NewShare, so the
 	// joiner's share and every long-term key are at most 256 bits; the

@@ -504,14 +504,15 @@ func (m *Member) evMerge(ev kga.Event) (kga.Result, error) {
 	}
 
 	// Old controller (MERGE step 1): refresh the share and send the
-	// refreshed group secret down the chain.
+	// refreshed group secret down the chain. Like the join controller's
+	// seed partial it is K_old^f, which equals
+	// partials[me]^(share·f mod q) with a short exponent.
 	f, err := m.g.NewShare(rand.Reader)
 	if err != nil {
 		return kga.Result{}, err
 	}
-	newShare := mulQ(m.g, m.share, f)
-	m.pend.newShare = newShare
-	u := m.g.Exp(m.partials[m.name], newShare, m.counter, dh.OpShareUpdate)
+	m.pend.newShare = mulQ(m.g, m.share, f)
+	u := m.g.Exp(m.key.Secret, f, m.counter, dh.OpShareUpdate)
 
 	first := ev.Joined[0]
 	kc, err := pairwiseKey(m.g, m.x, m.dir, first, m.counter, dh.OpLongTermKey)

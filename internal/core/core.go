@@ -37,6 +37,12 @@ type Conn struct {
 	autoRefresh time.Duration
 	obs         *obs.Scope
 	log         *obs.Logger
+	// The secure data path's two drops: a frame sealed under an epoch
+	// older than the installed key (core_stale_frames_dropped), and frames
+	// held in pendingData for an epoch never installed before the next
+	// view (core_pending_discarded).
+	staleDropped     *obs.Counter
+	pendingDiscarded *obs.Counter
 
 	reqs   chan func()
 	events chan Event
@@ -175,7 +181,6 @@ func (s *sentFrames) evictLocked() {
 	}
 }
 
-
 // sealState is one group's sealing snapshot: the installed suite pinned to
 // its key epoch. Immutable after publication — rekeys publish a new one.
 // firstSend latches the once-per-epoch first-send trace event.
@@ -233,6 +238,8 @@ func New(client spread.Endpoint, opts ...Option) *Conn {
 		c.obs = obs.NewScope(client.Name(), "core")
 	}
 	c.log = obs.L("core")
+	c.staleDropped = c.obs.Reg.Counter("core_stale_frames_dropped")
+	c.pendingDiscarded = c.obs.Reg.Counter("core_pending_discarded")
 	if c.counter != nil {
 		c.counter.MirrorTo(c.obs.Reg)
 	}

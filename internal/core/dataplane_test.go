@@ -151,3 +151,68 @@ func TestLoopbackOpenElision(t *testing.T) {
 		t.Fatalf("peer delivered %q, want %q", gotB.Data, msg)
 	}
 }
+
+// securePair returns two members of a secured cliques group "g" on two
+// daemons.
+func securePair(t *testing.T) (a, b *Conn) {
+	t.Helper()
+	cl := newCluster(t, 2)
+	a = connectSecure(t, cl.Daemons[0], "alice")
+	b = connectSecure(t, cl.Daemons[1], "bob")
+	t.Cleanup(func() { a.Disconnect(); b.Disconnect() })
+	for _, c := range []*Conn{a, b} {
+		if err := c.Join("g", "cliques", crypt.SuiteBlowfish); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSecure(t, a, "g", 2)
+	waitSecure(t, b, "g", 2)
+	return a, b
+}
+
+// TestStaleFrameCounted pins core_stale_frames_dropped: a data frame
+// stamped with an epoch older than the installed key is dropped and
+// counted.
+func TestStaleFrameCounted(t *testing.T) {
+	a, _ := securePair(t)
+	var epoch uint64
+	if err := a.do(func() {
+		g := a.groups["g"]
+		epoch = g.key.Epoch
+		if epoch > 0 {
+			g.onData("bob", epoch-1, []byte("sealed under the previous key"))
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if epoch == 0 {
+		t.Fatal("a two-member group is still at key epoch 0")
+	}
+	if n := a.Obs().Reg.Counter("core_stale_frames_dropped").Value(); n != 1 {
+		t.Fatalf("core_stale_frames_dropped = %d, want 1", n)
+	}
+}
+
+// TestPendingDiscardCounted pins core_pending_discarded: a frame held for
+// an epoch this member has not installed is discarded, and counted, when
+// the next view installs first.
+func TestPendingDiscardCounted(t *testing.T) {
+	a, b := securePair(t)
+	if err := a.do(func() {
+		g := a.groups["g"]
+		g.onData("bob", g.key.Epoch+5, []byte("sealed under a key never installed here"))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	discarded := a.Obs().Reg.Counter("core_pending_discarded")
+	if n := discarded.Value(); n != 0 {
+		t.Fatalf("core_pending_discarded = %d before any view change, want 0", n)
+	}
+	if err := b.Leave("g"); err != nil {
+		t.Fatal(err)
+	}
+	waitSecure(t, a, "g", 1)
+	if n := discarded.Value(); n != 1 {
+		t.Fatalf("core_pending_discarded = %d after the view change, want 1", n)
+	}
+}

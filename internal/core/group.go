@@ -111,6 +111,9 @@ func (g *groupCtx) onView(v spread.ViewEvent) {
 	g.deferred = nil
 	g.pendingRefreshFrom = ""
 	g.refreshWanted = false
+	for _, frames := range g.pendingData {
+		g.conn.pendingDiscarded.Add(int64(len(frames)))
+	}
 	g.pendingData = make(map[uint64][]pendingFrame)
 	g.rekeyStart = time.Now()
 	g.rekeyClass = ""
@@ -519,6 +522,7 @@ func (g *groupCtx) onData(from string, epoch uint64, frame []byte) {
 		return
 	}
 	if g.key != nil && epoch < g.key.Epoch {
+		g.conn.staleDropped.Inc()
 		g.conn.warn(g.name, fmt.Errorf("stale data frame from %s (epoch %d < %d)", from, epoch, g.key.Epoch))
 		return
 	}

@@ -100,10 +100,11 @@ type Daemon struct {
 	// Clock echo debt (see payEcho). sentLTS is the highest Lamport clock
 	// advertised to the view: own data frames carry m.LTS, tick and echo
 	// heartbeats d.lts. echoDue is set by a peer's ordered frame stamped
-	// above it; lastEcho spaces echoes Heartbeat/4 apart.
-	sentLTS  uint64
-	echoDue  bool
-	lastEcho time.Time
+	// above it. advFull is when the advertisement budget that ticks and
+	// echoes draw from is full again (see spendAdv).
+	sentLTS uint64
+	echoDue bool
+	advFull time.Time
 
 	// Submit-ring plumbing: clients push data payloads into their own
 	// bounded ring and ask (at most once per outstanding drain) for a
@@ -466,6 +467,7 @@ func (d *Daemon) tick() {
 	// Heartbeats go to every configured peer: within the view they
 	// advance the agreed-delivery horizon; outside they are the
 	// discovery mechanism for merges.
+	d.spendAdv(now, true)
 	d.sendHeartbeat(d.peers)
 
 	// Failure detection: a silent view member triggers a membership
@@ -671,21 +673,46 @@ func (d *Daemon) onData(m *dataMsg) {
 
 // payEcho settles the clock debt with one heartbeat to the view members.
 // If own data or a tick has advertised the clock since, the debt clears
-// without a frame. Echoes keep at least Heartbeat/4 between them; inside
-// that spacing the debt stays and payEcho returns how long until it may
-// be paid.
+// without a frame. An echo draws a whole token from the advertisement
+// budget; on a short budget the debt stays and payEcho returns how long
+// until a token refills.
 func (d *Daemon) payEcho() (wait time.Duration) {
 	if d.lts <= d.sentLTS {
 		d.echoDue = false
 		return 0
 	}
-	now := time.Now()
-	if wait = d.cfg.Heartbeat/4 - now.Sub(d.lastEcho); wait > 0 {
+	if wait = d.spendAdv(time.Now(), false); wait > 0 {
 		return wait
 	}
 	d.echoDue = false
-	d.lastEcho = now
 	d.sendHeartbeat(d.view.Members)
+	return 0
+}
+
+// The clock-advertisement budget: tick and echo heartbeats draw from one
+// bucket that refills advPerHeartbeat tokens per Heartbeat and holds at
+// most advBurst. A steady stream thus gets about advPerHeartbeat
+// advertisements per Heartbeat, ticks included (a tick that finds less
+// than a token takes what is left), while the handful of echoes a
+// rekey's AGREED rounds need after a quiet period go out at once.
+const (
+	advPerHeartbeat = 4
+	advBurst        = 16
+)
+
+// spendAdv draws one token from the advertisement budget. The budget is
+// kept as advFull, the time it is full again, so each missing token is
+// Heartbeat/advPerHeartbeat of distance ahead of now. An echo needs a
+// whole token: on a short budget it takes nothing and gets the wait until
+// one refills. A tick never waits: it spends its token, and on an empty
+// budget the budget stays at zero.
+func (d *Daemon) spendAdv(now time.Time, tick bool) (wait time.Duration) {
+	gap := d.cfg.Heartbeat / advPerHeartbeat
+	ahead := max(d.advFull.Sub(now), 0)
+	if wait = ahead - (advBurst-1)*gap; wait > 0 && !tick {
+		return wait
+	}
+	d.advFull = now.Add(min(ahead+gap, advBurst*gap))
 	return 0
 }
 

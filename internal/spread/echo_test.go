@@ -2,17 +2,19 @@ package spread
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// TestAgreedBurstNotHeldForTick pins the deferred clock echo: when a second
-// AGREED message follows the first inside the Heartbeat/4 echo spacing, the
-// receivers' echoes for it are postponed to the end of the spacing, not
-// dropped until their next heartbeat tick. The heartbeat is long (400 ms) so
-// that the two outcomes, ~Heartbeat/4 and tick-bound, are far apart.
+// TestAgreedBurstNotHeldForTick pins the deferred clock echo: the receivers'
+// echoes for a second AGREED message that follows the first at once go out
+// from the advertisement budget, or, on a short budget, when a token
+// refills (at most Heartbeat/4 later); they never wait for the next
+// heartbeat tick. The heartbeat is long (400 ms) so that the outcomes,
+// at most ~Heartbeat/4 and tick-bound, are far apart.
 func TestAgreedBurstNotHeldForTick(t *testing.T) {
 	cfg := Config{Heartbeat: 400 * time.Millisecond, SuspectAfter: 10 * time.Second}
 	c, err := NewCluster(3, cfg)
@@ -42,8 +44,8 @@ func TestAgreedBurstNotHeldForTick(t *testing.T) {
 
 	var worst time.Duration
 	for trial := 0; trial < 6; trial++ {
-		// Let the previous trial's echoes age past the Heartbeat/4
-		// spacing. A trial held for a tick ends on one, so this wait
+		// Let the previous trial's advertisement tokens refill. A
+		// trial held for a tick ends on one, so this wait
 		// also puts the next trial 3/8 of an interval after a tick: a
 		// tick-bound trial then takes 5/8 of an interval, well clear of
 		// the limit below.
@@ -75,10 +77,12 @@ func TestAgreedBurstNotHeldForTick(t *testing.T) {
 	}
 }
 
-// TestEchoSpacingUnderStream is the echo budget: under a steady AGREED
-// stream the sending daemon's own data frames carry its clock, so it sends
-// nothing beyond its ticks, and no daemon echoes more than once per
-// Heartbeat/4.
+// TestEchoSpacingUnderStream is the echo budget under load: under a steady
+// AGREED stream the sending daemon's own data frames carry its clock, so it
+// sends nothing beyond its ticks, and a receiving daemon's ticks and echoes
+// together stay within the advertisement budget (advBurst, then
+// advPerHeartbeat per Heartbeat). The bound checked is the older, looser
+// one: a tick per Heartbeat plus an echo per Heartbeat/4.
 func TestEchoSpacingUnderStream(t *testing.T) {
 	cfg := Config{Heartbeat: 20 * time.Millisecond, SuspectAfter: 2 * time.Second}
 	c, err := NewCluster(3, cfg)
@@ -142,8 +146,75 @@ func TestEchoSpacingUnderStream(t *testing.T) {
 				d.Name(), rounds, budget)
 		}
 	}
-	// A receiver sees data every ~millisecond, so the spacing binds.
+	// A receiver sees data every ~millisecond, so the budget binds.
 	if n := c.Daemons[1].Obs().Reg.Counter("spread_echo_deferred").Value(); n == 0 {
 		t.Error("spread_echo_deferred is 0 on a receiving daemon under a steady stream")
+	}
+}
+
+// TestEchoBurstAfterQuiet is the other side of the echo budget: after a
+// quiet Heartbeat, a short AGREED burst from two daemons, the shape of a
+// rekey's rounds, gets every echo it needs at once. It reads counters, not
+// the clock: spread_echo_deferred must not move on any daemon.
+func TestEchoBurstAfterQuiet(t *testing.T) {
+	cfg := Config{Heartbeat: 400 * time.Millisecond, SuspectAfter: 10 * time.Second}
+	c, err := NewCluster(3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+
+	var clients []*Client
+	var names []string
+	for i, d := range c.Daemons {
+		cl, err := d.Connect(fmt.Sprintf("u%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Join("g"); err != nil {
+			t.Fatal(err)
+		}
+		clients = append(clients, cl)
+		names = append(names, cl.Name())
+	}
+	for _, cl := range clients {
+		waitMembers(t, cl, "g", names)
+	}
+
+	deferred := func() []int64 {
+		out := make([]int64, len(c.Daemons))
+		for i, d := range c.Daemons {
+			out[i] = d.Obs().Reg.Counter("spread_echo_deferred").Value()
+		}
+		return out
+	}
+	time.Sleep(cfg.Heartbeat)
+	before := deferred()
+	var sent []string
+	for i := 0; i < 4; i++ {
+		m := fmt.Sprintf("m%d", i)
+		if err := clients[i%2].Multicast(Agreed, "g", []byte(m)); err != nil {
+			t.Fatal(err)
+		}
+		sent = append(sent, m)
+		time.Sleep(time.Millisecond)
+	}
+	var order []string
+	for i, cl := range clients {
+		var got []string
+		for range sent {
+			got = append(got, string(nextData(t, cl, "g").Data))
+		}
+		if i == 0 {
+			order = got
+		} else if !slices.Equal(got, order) {
+			t.Fatalf("%s delivered %v, %s delivered %v", cl.Name(), got, clients[0].Name(), order)
+		}
+	}
+	after := deferred()
+	for i, d := range c.Daemons {
+		if n := after[i] - before[i]; n != 0 {
+			t.Errorf("%s deferred %d echoes of a 4-message burst after a quiet heartbeat, want 0", d.Name(), n)
+		}
 	}
 }

@@ -35,8 +35,8 @@ type statsCounters struct {
 	msgsRecovered     *obs.Counter
 	msgsRetransmitted *obs.Counter
 	nacksSent         *obs.Counter
-	// echoDeferred counts clock echoes the Heartbeat/4 spacing postponed
-	// to the echo timer: how often the spacing binds.
+	// echoDeferred counts clock echoes an empty advertisement budget
+	// postponed to the echo timer: how often the budget binds.
 	echoDeferred  *obs.Counter
 	retainedGauge *obs.Gauge
 	clientsGauge  *obs.Gauge
