@@ -46,37 +46,18 @@ type Daemon struct {
 	lts      uint64
 	seq      uint64
 
+	// lastHeard covers every configured peer, in the view or not: merge
+	// discovery and failure detection both read it.
 	lastHeard map[string]time.Time
-	seenLTS   map[string]uint64
-	stable    map[string]uint64
-
-	deliveredSeq map[string]uint64
-	pending      map[string]*msgQueue // per sender, sorted by seq
-	retained     map[msgKey]*dataMsg
-	// retainedQ mirrors retained in insertion order. Agreed delivery is
-	// LTS order, so the stability sweep pops an ordered prefix instead of
-	// scanning the whole map every tick; retainedHead marks the consumed
-	// prefix (compacted, never resliced, so no q = q[1:] retention).
-	retainedQ    []msgKey
-	retainedHead int
-	futureMsgs   []*dataMsg // data for views not yet installed
+	// members holds the delivery state of each view member, in view order
+	// (see member); resetMembers rebuilds it at every view install.
+	members    []*member
+	futureMsgs []*dataMsg // data for views not yet installed
 
 	// AGREED delivery candidates: every contiguous, ordered queue head is
 	// registered here keyed (LTS, sender), so delivering the next agreed
-	// message is a heap pop instead of a scan over every sender. agreedSeq
-	// remembers which seq per sender is registered (dedup + lazy deletion).
-	agreed    agreedHeap
-	agreedSeq map[string]uint64
-
-	// Per-sender gap-free prefix of the current view's sequence space:
-	// contigSeq is the highest seq through which every message has been
-	// received (delivered or pending), contigLTS the Lamport timestamp of
-	// that last contiguous message. seenLTS may only advance along the
-	// contiguous prefix — advancing it past a link-dropped message would
-	// move the agreed horizon over a hole and desynchronize delivery.
-	contigSeq map[string]uint64
-	contigLTS map[string]uint64
-	lastNack  map[string]time.Time // per-origin retransmission request limiter
+	// message is a heap pop instead of a scan over every sender.
+	agreed agreedHeap
 
 	form formingState
 	// formingSince marks the start of the current forming *streak*: set
@@ -130,6 +111,57 @@ type Daemon struct {
 	queuedOps    []queuedOp        // client ops deferred during forming/state wait
 }
 
+// member is one view member's slice of the current view's sequence space,
+// as this daemon sees it. A record lives for one view.
+type member struct {
+	name string
+	// seenLTS is the clock through which this daemon has received all of
+	// the member's messages; stable is the receive horizon the member
+	// last advertised.
+	seenLTS uint64
+	stable  uint64
+	// delivered is the highest seq delivered here.
+	delivered uint64
+	// contigSeq is the highest seq through which every message has been
+	// received (delivered or pending), contigLTS the Lamport timestamp of
+	// that last contiguous message. seenLTS may only advance along the
+	// contiguous prefix — advancing it past a link-dropped message would
+	// move the agreed horizon over a hole and desynchronize delivery.
+	contigSeq uint64
+	contigLTS uint64
+	// agreedSeq is the seq registered in the agreed heap, 0 for none
+	// (dedup + lazy deletion).
+	agreedSeq uint64
+	lastNack  time.Time // retransmission request limiter
+	// pending holds received, not yet delivered messages; retained holds
+	// delivered ones until they are stable, for NACKs and the view
+	// change's delivery cut. Both are sorted by seq, and so by LTS.
+	pending  msgQueue
+	retained msgQueue
+}
+
+// member returns the record of the named view member, or nil.
+func (d *Daemon) member(name string) *member {
+	for _, mb := range d.members {
+		if mb.name == name {
+			return mb
+		}
+	}
+	return nil
+}
+
+// resetMembers starts a view's delivery state: one empty record per view
+// member and an empty agreed heap.
+func (d *Daemon) resetMembers() {
+	d.members = make([]*member, len(d.view.Members))
+	for i, name := range d.view.Members {
+		d.members[i] = &member{name: name}
+	}
+	clear(d.agreed)
+	d.agreed = d.agreed[:0]
+	d.counters.retainedGauge.Set(0)
+}
+
 type inboundMsg struct {
 	from string
 	data []byte
@@ -179,16 +211,7 @@ func NewDaemon(name string, peers []string, net transport.Network, cfg Config) (
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 		lastHeard:    make(map[string]time.Time),
-		seenLTS:      make(map[string]uint64),
-		stable:       make(map[string]uint64),
-		deliveredSeq: make(map[string]uint64),
-		pending:      make(map[string]*msgQueue),
-		agreedSeq:    make(map[string]uint64),
 		subCh:        make(chan struct{}, 1),
-		retained:     make(map[msgKey]*dataMsg),
-		contigSeq:    make(map[string]uint64),
-		contigLTS:    make(map[string]uint64),
-		lastNack:     make(map[string]time.Time),
 		groups:       make(map[string]*group),
 		prevGroups:   make(map[string]*group),
 		clients:      make(map[string]*Client),
@@ -212,6 +235,7 @@ func NewDaemon(name string, peers []string, net transport.Network, cfg Config) (
 	d.maxEpoch = 1
 	d.view = View{ID: ViewID{Epoch: 1, Coord: name}, Members: []string{name}}
 	d.viewStr = d.view.ID.String()
+	d.resetMembers()
 	d.stateWait = map[string]bool{}
 	d.stateEntries = map[string][]stateEntry{}
 	d.stateSeqs = map[string]uint64{}
@@ -446,6 +470,13 @@ func (d *Daemon) dispatch(from string, m *wireMsg, now time.Time) {
 	case kindHeartbeat:
 		d.onHeartbeat(from, m.HB)
 	case kindData:
+		// Every data frame comes from its origin: broadcastData sends
+		// this daemon's own messages, and requestMissing addresses each
+		// NACK to the origin of the missing messages.
+		if m.Data != nil && m.Data.Sender != from {
+			d.counters.dataDropped.Inc()
+			return
+		}
 		d.onData(m.Data)
 	case kindPropose:
 		d.onPropose(from, m.Prop)
@@ -494,12 +525,9 @@ func (d *Daemon) tick() {
 // prefix-complete).
 func (d *Daemon) receiveHorizon() uint64 {
 	h := d.lts
-	for _, member := range d.view.Members {
-		if member == d.name {
-			continue
-		}
-		if s := d.seenLTS[member]; s < h {
-			h = s
+	for _, mb := range d.members {
+		if mb.name != d.name && mb.seenLTS < h {
+			h = mb.seenLTS
 		}
 	}
 	return h
@@ -510,42 +538,27 @@ func (d *Daemon) receiveHorizon() uint64 {
 // recovery.
 func (d *Daemon) stabilityHorizon() uint64 {
 	h := d.receiveHorizon()
-	for _, member := range d.view.Members {
-		if member == d.name {
-			continue
-		}
-		if s := d.stable[member]; s < h {
-			h = s
+	for _, mb := range d.members {
+		if mb.name != d.name && mb.stable < h {
+			h = mb.stable
 		}
 	}
 	return h
 }
 
+// gcRetained releases every retained message at or below the stability
+// horizon. A member's retained queue is in LTS order, so each sweep pops
+// stable prefixes: O(released + members) per tick.
 func (d *Daemon) gcRetained() {
-	if len(d.retained) == 0 {
-		return
-	}
 	h := d.stabilityHorizon()
-	// Delivery order is LTS order, so retainedQ's stable prefix is
-	// exactly the entries at or below the horizon: pop until the first
-	// survivor, O(deleted) per tick instead of O(retained).
-	for d.retainedHead < len(d.retainedQ) {
-		k := d.retainedQ[d.retainedHead]
-		if m, ok := d.retained[k]; ok {
-			if m.LTS > h {
-				break
-			}
-			delete(d.retained, k)
+	total := 0
+	for _, mb := range d.members {
+		for mb.retained.len() > 0 && mb.retained.front().LTS <= h {
+			mb.retained.popFront()
 		}
-		d.retainedHead++
+		total += mb.retained.len()
 	}
-	if d.retainedHead == len(d.retainedQ) {
-		d.retainedQ, d.retainedHead = d.retainedQ[:0], 0
-	} else if d.retainedHead >= 64 && d.retainedHead > len(d.retainedQ)/2 {
-		n := copy(d.retainedQ, d.retainedQ[d.retainedHead:])
-		d.retainedQ, d.retainedHead = d.retainedQ[:n], 0
-	}
-	d.counters.retainedGauge.Set(int64(len(d.retained)))
+	d.counters.retainedGauge.Set(int64(total))
 }
 
 func (d *Daemon) onHeartbeat(from string, hb *hbMsg) {
@@ -555,21 +568,21 @@ func (d *Daemon) onHeartbeat(from string, hb *hbMsg) {
 	if hb.LTS > d.lts {
 		d.lts = hb.LTS
 	}
-	inView := slices.Contains(d.view.Members, from)
-	if inView && hb.View == d.view.ID {
-		if hb.Seq > d.contigSeq[from] {
+	mb := d.member(from)
+	if mb != nil && hb.View == d.view.ID {
+		if hb.Seq > mb.contigSeq {
 			// The sender originated messages we never received: the link
 			// dropped them. Ask for retransmission and keep the horizon
 			// pinned at the contiguous prefix until the gap closes.
-			d.requestMissing(from, from, d.contigSeq[from]+1, hb.Seq)
-		} else if hb.LTS > d.seenLTS[from] {
+			d.requestMissing(mb, mb.contigSeq+1, hb.Seq)
+		} else if hb.LTS > mb.seenLTS {
 			// All originated messages are accounted for, so the advertised
 			// clock hides no undelivered data.
-			d.seenLTS[from] = hb.LTS
+			mb.seenLTS = hb.LTS
 			d.tryDeliver()
 		}
-		if hb.Stable > d.stable[from] {
-			d.stable[from] = hb.Stable
+		if hb.Stable > mb.stable {
+			mb.stable = hb.Stable
 		}
 		return
 	}
@@ -578,7 +591,7 @@ func (d *Daemon) onHeartbeat(from string, hb *hbMsg) {
 	// way the membership must change. Heartbeats still carrying an older
 	// view are just in flight from before our install and must not
 	// re-trigger formation (ping-pong churn).
-	if inView && !d.view.ID.Less(hb.View) {
+	if mb != nil && !d.view.ID.Less(hb.View) {
 		return
 	}
 	if !d.form.active {
@@ -655,10 +668,15 @@ func (d *Daemon) onData(m *dataMsg) {
 		// messages are recovered from the union or lost for everyone.
 		return
 	}
-	d.acceptData(m)
+	mb := d.member(m.Sender)
+	if mb == nil {
+		d.counters.dataDropped.Inc() // not a view member's message
+		return
+	}
+	d.acceptData(mb, m)
 	// Only this sender's FIFO chain and the agreed heap can have been
 	// unblocked; no need to rescan every sender.
-	d.deliverReady(m.Sender)
+	d.deliverReady(mb)
 	d.drainAgreed()
 	// Agreed-class delivery waits until every member's clock passes the
 	// message timestamp. A peer's frame stamped above what this daemon
@@ -740,40 +758,31 @@ func (d *Daemon) sendHeartbeat(dests []string) {
 	wirecodec.PutBuf(data)
 }
 
-// acceptData inserts a message into the pending structures (idempotent).
-// The per-sender horizon advances only along the contiguous sequence
-// prefix; a message beyond a gap parks in pending and triggers a
+// acceptData inserts a message into the sender's pending queue
+// (idempotent). The sender's horizon advances only along the contiguous
+// sequence prefix; a message beyond a gap parks in pending and triggers a
 // retransmission request instead.
-func (d *Daemon) acceptData(m *dataMsg) {
+func (d *Daemon) acceptData(mb *member, m *dataMsg) {
 	if m.LTS > d.lts {
 		d.lts = m.LTS
 	}
-	if m.Seq <= d.deliveredSeq[m.Sender] {
+	if m.Seq <= mb.delivered {
 		return // already delivered
 	}
-	if _, dup := d.retained[m.key()]; dup {
-		return
-	}
-	q := d.pending[m.Sender]
-	if q == nil {
-		q = &msgQueue{}
-		d.pending[m.Sender] = q
-	}
-	pos, found := q.search(m.Seq)
+	pos, found := mb.pending.search(m.Seq)
 	if found {
 		return
 	}
-	q.insert(pos, m)
-	d.advanceContig(m.Sender)
+	mb.pending.insert(pos, m)
+	d.advanceContig(mb)
 }
 
 // advanceContig extends the sender's gap-free prefix through the pending
 // queue, advances the agreed horizon along it, and requests retransmission
 // for any remaining hole.
-func (d *Daemon) advanceContig(sender string) {
-	cs := d.contigSeq[sender]
-	lts := d.contigLTS[sender]
-	q := d.pending[sender]
+func (d *Daemon) advanceContig(mb *member) {
+	cs, lts := mb.contigSeq, mb.contigLTS
+	q := &mb.pending
 	n := q.len()
 	// Binary-search past the already-counted prefix (entries awaiting the
 	// delivery horizon): with a deep backlog a linear skip here turns every
@@ -784,62 +793,60 @@ func (d *Daemon) advanceContig(sender string) {
 		lts = q.at(i).LTS
 		i++
 	}
-	d.contigSeq[sender] = cs
-	d.contigLTS[sender] = lts
-	if lts > d.seenLTS[sender] {
-		d.seenLTS[sender] = lts
+	mb.contigSeq, mb.contigLTS = cs, lts
+	if lts > mb.seenLTS {
+		mb.seenLTS = lts
 	}
 	if i < n {
 		// Entries beyond the prefix mean the link dropped the sequence
 		// numbers in between.
-		d.requestMissing(sender, sender, cs+1, q.at(i).Seq-1)
+		d.requestMissing(mb, cs+1, q.at(i).Seq-1)
 	}
 }
 
-// requestMissing NACKs a per-sender sequence gap to a view member, which
-// retransmits from its retained buffer. Rate-limited to one request per
-// origin per heartbeat interval; the gap re-arms it on the next heartbeat
-// if the retransmission was itself lost.
-func (d *Daemon) requestMissing(to, origin string, from, upto uint64) {
-	if upto < from || to == d.name || !slices.Contains(d.view.Members, to) {
+// requestMissing NACKs a gap in a member's sequence space to that member,
+// which retransmits from its retained buffer. Rate-limited to one request
+// per member per heartbeat interval; the gap re-arms it on the next
+// heartbeat if the retransmission was itself lost.
+func (d *Daemon) requestMissing(mb *member, from, upto uint64) {
+	if upto < from || mb.name == d.name {
 		return
 	}
 	now := time.Now()
-	if now.Sub(d.lastNack[origin]) < d.cfg.Heartbeat {
+	if now.Sub(mb.lastNack) < d.cfg.Heartbeat {
 		return
 	}
-	d.lastNack[origin] = now
+	mb.lastNack = now
 	d.counters.nacksSent.Inc()
-	d.log.Debugf("%s: nack to %s for %s[%d,%d]", d.name, to, origin, from, upto)
-	d.sendTo(to, &wireMsg{Kind: kindNack, Nack: &nackMsg{
+	d.log.Debugf("%s: nack to %s for [%d,%d]", d.name, mb.name, from, upto)
+	d.sendTo(mb.name, &wireMsg{Kind: kindNack, Nack: &nackMsg{
 		View:   d.view.ID,
-		Sender: origin,
+		Sender: mb.name,
 		From:   from,
 		To:     upto,
 	}})
 }
 
-// onNack retransmits the requested messages from the retained and pending
-// buffers to the requester. Stability GC cannot have discarded them: the
-// requester's stalled receive horizon holds the stability horizon below
-// the missing timestamps.
+// onNack retransmits the requested messages from the origin's retained and
+// pending buffers to the requester. Stability GC cannot have discarded
+// them: the requester's stalled receive horizon holds the stability
+// horizon below the missing timestamps.
 func (d *Daemon) onNack(from string, n *nackMsg) {
 	if n == nil || n.View != d.view.ID {
 		return // the view change machinery recovers across views
 	}
+	mb := d.member(n.Sender)
 	upto := n.To
-	if upto < n.From {
+	if mb == nil || upto < n.From {
 		return
 	}
 	if upto-n.From > 4096 {
 		upto = n.From + 4096 // cap a malformed or hostile range
 	}
 	for seq := n.From; seq <= upto; seq++ {
-		m := d.retained[msgKey{Sender: n.Sender, Seq: seq}]
+		m := mb.retained.find(seq)
 		if m == nil {
-			if q := d.pending[n.Sender]; q != nil {
-				m = q.find(seq)
-			}
+			m = mb.pending.find(seq)
 		}
 		if m == nil {
 			continue
@@ -863,48 +870,44 @@ func (d *Daemon) resendData(to string, m *dataMsg) {
 // tryDeliver delivers every message whose ordering constraints are met:
 // per-sender contiguous sequence numbers always; for AGREED-class traffic,
 // global (LTS, sender) order up to the horizon every member has passed.
-// It is the full rescan used by horizon advances and view transitions; the
-// per-message hot path calls deliverReady/drainAgreed directly.
+// It is the full rescan used by horizon advances; the per-message hot path
+// calls deliverReady/drainAgreed directly.
 func (d *Daemon) tryDeliver() {
-	for sender := range d.pending {
-		d.deliverReady(sender)
+	for _, mb := range d.members {
+		d.deliverReady(mb)
 	}
 	d.drainAgreed()
 }
 
-// deliverReady drains one sender's queue as far as ordering allows:
+// deliverReady drains one member's queue as far as ordering allows:
 // FIFO-class heads deliver as soon as they are contiguous; the first
 // contiguous AGREED-class head is registered in the heap (it must also
 // wait for the delivery horizon) and drainAgreed takes over from there.
-func (d *Daemon) deliverReady(sender string) {
-	q := d.pending[sender]
-	if q == nil {
-		return
-	}
-	for q.len() > 0 {
-		m := q.front()
-		if m.Seq != d.deliveredSeq[sender]+1 {
+func (d *Daemon) deliverReady(mb *member) {
+	for mb.pending.len() > 0 {
+		m := mb.pending.front()
+		if m.Seq != mb.delivered+1 {
 			return
 		}
 		if m.ordered() {
-			if d.agreedSeq[sender] != m.Seq {
-				d.agreedSeq[sender] = m.Seq
-				d.agreed.push(agreedEntry{lts: m.LTS, sender: sender, seq: m.Seq})
+			if mb.agreedSeq != m.Seq {
+				mb.agreedSeq = m.Seq
+				d.agreed.push(agreedEntry{lts: m.LTS, sender: mb.name, seq: m.Seq, mb: mb})
 			}
 			return
 		}
-		q.popFront()
-		d.deliver(m)
+		mb.pending.popFront()
+		d.deliver(mb, m)
 	}
 }
 
 // drainAgreed delivers AGREED-class heads in global (LTS, sender) order up
 // to the receive horizon: repeated heap pops instead of per-message scans
 // over every sender. Entries are validated against live queue state when
-// popped; stale ones (superseded by a view flush race or re-registration)
-// are simply discarded. The horizon is cached and recomputed only when the
-// top entry sits beyond it — deliveries advance clocks monotonically, so a
-// recheck can only widen it.
+// popped; stale ones (superseded by re-registration) are simply discarded.
+// The horizon is cached and recomputed only when the top entry sits beyond
+// it — deliveries advance clocks monotonically, so a recheck can only
+// widen it.
 func (d *Daemon) drainAgreed() {
 	if d.agreed.len() == 0 {
 		return
@@ -919,42 +922,33 @@ func (d *Daemon) drainAgreed() {
 			}
 		}
 		d.agreed.pop()
-		if d.agreedSeq[top.sender] == top.seq {
-			delete(d.agreedSeq, top.sender)
+		mb := top.mb
+		if mb.agreedSeq == top.seq {
+			mb.agreedSeq = 0
 		}
-		q := d.pending[top.sender]
-		if q == nil || q.len() == 0 {
+		if mb.pending.len() == 0 {
 			continue
 		}
-		m := q.front()
-		if m.Seq != top.seq || m.Seq != d.deliveredSeq[top.sender]+1 || !m.ordered() {
+		m := mb.pending.front()
+		if m.Seq != top.seq || m.Seq != mb.delivered+1 || !m.ordered() {
 			continue // stale entry
 		}
-		q.popFront()
-		d.deliver(m)
-		d.deliverReady(top.sender) // re-register the sender's next head
+		mb.pending.popFront()
+		d.deliver(mb, m)
+		d.deliverReady(mb) // re-register the sender's next head
 	}
-}
-
-// resetDelivery clears the pending queues and the agreed heap (view
-// installs start the new view's sequence space from scratch).
-func (d *Daemon) resetDelivery() {
-	d.pending = make(map[string]*msgQueue)
-	d.agreed = d.agreed[:0]
-	d.agreedSeq = make(map[string]uint64)
 }
 
 // deliver commits a message: it is retained for view-change recovery and
 // its payload is processed (or buffered during a state exchange).
-func (d *Daemon) deliver(m *dataMsg) {
+func (d *Daemon) deliver(mb *member, m *dataMsg) {
 	if d.deliverHook != nil {
 		d.deliverHook(m)
 	}
 	d.counters.msgsDelivered.Inc()
-	d.deliveredSeq[m.Sender] = m.Seq
-	d.retained[m.key()] = m
-	d.retainedQ = append(d.retainedQ, m.key())
-	d.counters.retainedGauge.Set(int64(len(d.retained)))
+	mb.delivered = m.Seq
+	mb.retained.push(m)
+	d.counters.retainedGauge.Add(1)
 	if len(d.stateWait) > 0 && m.P.Kind != payGroupState {
 		d.bufferedMsgs = append(d.bufferedMsgs, m)
 		return

@@ -7,17 +7,18 @@ import (
 )
 
 // This file holds the steady-state data-plane structures introduced by the
-// fast-path overhaul: the per-sender pending queue (a slice-backed deque
-// that releases delivered messages instead of retaining them through
+// fast-path overhaul: the per-member message queue (a slice-backed deque
+// that releases popped messages instead of retaining them through
 // `q = q[1:]` reslicing), the (LTS, sender) min-heap that replaces the
 // per-message scan over every sender's head for AGREED delivery, and the
 // bounded per-client submit ring that replaces the per-operation `do()`
 // rendezvous for client data.
 
-// msgQueue is one sender's pending messages, sorted by Seq. It is a deque
-// over a slice with an explicit head index: popFront nils the vacated slot
-// (so a delivered *dataMsg is reclaimable immediately, not pinned by the
-// backing array) and compacts the dead prefix once it dominates the buffer.
+// msgQueue is one member's pending or retained messages, sorted by Seq. It
+// is a deque over a slice with an explicit head index: popFront nils the
+// vacated slot (so a popped *dataMsg is reclaimable immediately, not pinned
+// by the backing array) and compacts the dead prefix once it dominates the
+// buffer.
 type msgQueue struct {
 	buf  []*dataMsg
 	head int
@@ -54,6 +55,9 @@ func (q *msgQueue) find(seq uint64) *dataMsg {
 	return nil
 }
 
+// push appends m, which must sort after every live entry.
+func (q *msgQueue) push(m *dataMsg) { q.buf = append(q.buf, m) }
+
 // insert places m at live position pos (from search).
 func (q *msgQueue) insert(pos int, m *dataMsg) {
 	q.buf = slices.Insert(q.buf, q.head+pos, m)
@@ -80,11 +84,13 @@ func (q *msgQueue) popFront() *dataMsg {
 }
 
 // agreedEntry is one candidate AGREED head: the contiguous, ordered front
-// of a sender's pending queue, keyed by its delivery rank.
+// of a member's pending queue, keyed by its delivery rank (the member's
+// name breaks LTS ties).
 type agreedEntry struct {
 	lts    uint64
 	sender string
 	seq    uint64
+	mb     *member
 }
 
 func (a agreedEntry) less(b agreedEntry) bool {

@@ -266,26 +266,21 @@ func TestFanoutSharesPayload(t *testing.T) {
 // --- differential delivery order ------------------------------------------
 
 // newDeliveryHarness builds a daemon with just the delivery-plane state
-// initialized — no goroutine, no transport — so tests can drive
-// acceptData/deliverReady/drainAgreed directly and observe deliveries
-// through deliverHook.
+// initialized — no goroutine, and a recordNode for a transport — so tests
+// can drive acceptData/deliverReady/drainAgreed directly and observe
+// deliveries through deliverHook.
 func newDeliveryHarness(name string, members []string, hook func(*dataMsg)) *Daemon {
-	return &Daemon{
-		name:         name,
-		view:         View{Members: members},
-		seenLTS:      make(map[string]uint64),
-		stable:       make(map[string]uint64),
-		deliveredSeq: make(map[string]uint64),
-		pending:      make(map[string]*msgQueue),
-		agreedSeq:    make(map[string]uint64),
-		contigSeq:    make(map[string]uint64),
-		contigLTS:    make(map[string]uint64),
-		lastNack:     make(map[string]time.Time),
-		retained:     make(map[msgKey]*dataMsg),
-		groups:       make(map[string]*group),
-		counters:     newStatsCounters(obs.NewRegistry()),
-		deliverHook:  hook,
+	d := &Daemon{
+		name:        name,
+		node:        &recordNode{},
+		view:        View{Members: members},
+		lastHeard:   make(map[string]time.Time),
+		groups:      make(map[string]*group),
+		counters:    newStatsCounters(obs.NewRegistry()),
+		deliverHook: hook,
 	}
+	d.resetMembers()
+	return d
 }
 
 // refAgreedOrder is the pre-heap delivery algorithm, kept as the reference
@@ -369,15 +364,16 @@ func TestAgreedDeliveryMatchesScanReference(t *testing.T) {
 			}
 			m := bySender[s][nextIdx[s]]
 			nextIdx[s]++
-			d.acceptData(m)
-			d.deliverReady(m.Sender)
+			mb := d.member(m.Sender)
+			d.acceptData(mb, m)
+			d.deliverReady(mb)
 			d.drainAgreed()
 		}
 		// Final horizon advance, as trailing heartbeats would do it. Every
 		// message has arrived (seenLTS advanced along each sender's full
 		// contiguous prefix), so moving to maxLTS crosses no hole.
-		for _, s := range senders {
-			d.seenLTS[s] = maxLTS
+		for _, mb := range d.members {
+			mb.seenLTS = maxLTS
 		}
 		d.tryDeliver()
 

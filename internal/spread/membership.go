@@ -188,15 +188,15 @@ func (d *Daemon) coordSync() {
 	d.maybeInstall()
 }
 
-// makeSyncAck snapshots every old-view message this daemon has seen.
+// makeSyncAck snapshots every old-view message this daemon has seen, in
+// view order, then by seq.
 func (d *Daemon) makeSyncAck() *syncAckMsg {
 	ack := &syncAckMsg{Round: d.form.round, OldView: d.view.ID}
-	for _, m := range d.retained {
-		ack.Msgs = append(ack.Msgs, *m)
-	}
-	for _, q := range d.pending {
-		for i := 0; i < q.len(); i++ {
-			ack.Msgs = append(ack.Msgs, *q.at(i))
+	for _, mb := range d.members {
+		for _, q := range []*msgQueue{&mb.retained, &mb.pending} {
+			for i := 0; i < q.len(); i++ {
+				ack.Msgs = append(ack.Msgs, *q.at(i))
+			}
 		}
 	}
 	return ack
@@ -261,11 +261,13 @@ func (d *Daemon) maybeInstall() {
 	if len(d.form.synced) == 0 || len(d.form.acks) < len(d.form.synced) {
 		return
 	}
-	// Build the per-old-view message unions.
+	// Build the per-old-view message unions, in candidate order so the
+	// install encodes the same way every time.
 	recovered := make(map[ViewID][]dataMsg)
 	seen := make(map[ViewID]map[msgKey]bool)
 	maxEpoch := d.maxEpoch
-	for _, ack := range d.form.acks {
+	for _, name := range d.form.synced {
+		ack := d.form.acks[name]
 		if ack.OldView.Epoch > maxEpoch {
 			maxEpoch = ack.OldView.Epoch
 		}
@@ -319,9 +321,11 @@ func (d *Daemon) installView(inst *installMsg) {
 	// that remains, in (LTS, sender) order. The union is complete: every
 	// message any same-old-view member saw is in it.
 	for _, m := range inst.Recovered[oldView] {
-		mm := m
-		d.acceptData(&mm)
-		d.counters.msgsRecovered.Inc()
+		if mb := d.member(m.Sender); mb != nil {
+			mm := m
+			d.acceptData(mb, &mm)
+			d.counters.msgsRecovered.Inc()
+		}
 	}
 	d.flushOldView()
 
@@ -352,15 +356,7 @@ func (d *Daemon) installView(inst *installMsg) {
 	d.viewStr = d.view.ID.String()
 	d.seq = 0
 	d.lts++ // view installation is an event on the clock
-	d.seenLTS = make(map[string]uint64)
-	d.stable = make(map[string]uint64)
-	d.deliveredSeq = make(map[string]uint64)
-	d.resetDelivery()
-	d.retained = make(map[msgKey]*dataMsg)
-	d.retainedQ, d.retainedHead = nil, 0
-	d.contigSeq = make(map[string]uint64)
-	d.contigLTS = make(map[string]uint64)
-	d.lastNack = make(map[string]time.Time)
+	d.resetMembers()
 	d.form = formingState{maxRound: max(d.form.maxRound, d.form.round)}
 	d.formingSince = time.Time{} // the streak ended: a view installed
 
@@ -394,30 +390,22 @@ func (d *Daemon) installView(inst *installMsg) {
 // (LTS, sender) order, ignoring the horizon: the delivery cut fixed the
 // message set.
 func (d *Daemon) flushOldView() {
-	var all []*dataMsg
-	for _, q := range d.pending {
-		for i := 0; i < q.len(); i++ {
-			all = append(all, q.at(i))
+	var all []agreedEntry
+	for _, mb := range d.members {
+		for i := 0; i < mb.pending.len(); i++ {
+			m := mb.pending.at(i)
+			all = append(all, agreedEntry{lts: m.LTS, sender: mb.name, seq: m.Seq, mb: mb})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].LTS != all[j].LTS {
-			return all[i].LTS < all[j].LTS
-		}
-		if all[i].Sender != all[j].Sender {
-			return all[i].Sender < all[j].Sender
-		}
-		return all[i].Seq < all[j].Seq
-	})
-	for _, m := range all {
+	sort.Slice(all, func(i, j int) bool { return all[i].less(all[j]) })
+	for _, e := range all {
 		// Per-sender contiguity: the union contains complete prefixes,
 		// so sequence gaps cannot occur; guard anyway.
-		if m.Seq != d.deliveredSeq[m.Sender]+1 {
+		if e.seq != e.mb.delivered+1 {
 			continue
 		}
-		d.deliver(m)
+		d.deliver(e.mb, e.mb.pending.popFront())
 	}
-	d.resetDelivery()
 }
 
 // localStateEntries describes this daemon's local clients' memberships for

@@ -37,7 +37,10 @@ type statsCounters struct {
 	nacksSent         *obs.Counter
 	// echoDeferred counts clock echoes an empty advertisement budget
 	// postponed to the echo timer: how often the budget binds.
-	echoDeferred  *obs.Counter
+	echoDeferred *obs.Counter
+	// dataDropped counts data frames dropped for their sender: one not in
+	// the view, or a frame relayed by a daemon other than its origin.
+	dataDropped   *obs.Counter
 	retainedGauge *obs.Gauge
 	clientsGauge  *obs.Gauge
 
@@ -57,6 +60,7 @@ func newStatsCounters(reg *obs.Registry) statsCounters {
 		msgsRetransmitted: reg.Counter("spread_msgs_retransmitted"),
 		nacksSent:         reg.Counter("spread_nacks_sent"),
 		echoDeferred:      reg.Counter("spread_echo_deferred"),
+		dataDropped:       reg.Counter("spread_foreign_data_dropped"),
 		retainedGauge:     reg.Gauge("spread_retained"),
 		clientsGauge:      reg.Gauge("spread_clients"),
 	}
@@ -104,7 +108,9 @@ func (d *Daemon) Stats() Stats {
 		out.View = View{ID: d.view.ID, Members: append([]string(nil), d.view.Members...)}
 		out.Groups = len(d.groups)
 		out.Clients = len(d.clients)
-		out.Retained = len(d.retained)
+		for _, mb := range d.members {
+			out.Retained += mb.retained.len()
+		}
 	})
 	return out
 }
